@@ -7,7 +7,6 @@ inequalities behind the n**0.17 lower bound.
 """
 
 from .bounds import (
-    BoundParams,
     BoundViolationError,
     ProbeResult,
     beta_of_delta,
@@ -39,20 +38,12 @@ from .construct import (
 from .mast import MastResult, mast_bruteforce, mast_dp, mast_size_matrix
 from .newick import NewickError, parse, serialize
 from .report import CheckRecord, VerificationReport
-from .tree import (
-    CaterpillarEmbedding,
-    Tree,
-    TreeError,
-    make_balanced,
-    make_caterpillar,
-)
+from .tree import Tree, TreeError, make_balanced, make_caterpillar
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams",
     "BoundViolationError",
-    "CaterpillarEmbedding",
     "CheckRecord",
     "CounterexamplePair",
     "LabelGrid",

@@ -29,7 +29,6 @@ solver is wrong, so it raises immediately.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,27 +51,6 @@ PROBE_MAX_M = 12
 class BoundViolationError(RuntimeError):
     """An observed MAST size fell below the proven floor (impossible unless
     the implementation is wrong)."""
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """The constants of the case analysis, bundled with one delta/beta pair."""
-
-    delta: float
-    beta: float
-    exponent_a: float = LOG_T_COEFF
-    exponent_b: float = HEIGHT_COEFF
-    case_thresholds: tuple[float, ...] = CASE_THRESHOLDS
-
-    def __post_init__(self):
-        if not 0 < self.delta < DELTA_MAX:
-            raise ValueError(f"delta must lie in (0, {DELTA_MAX}), got {self.delta}")
-        if self.case_thresholds != CASE_THRESHOLDS:
-            raise ValueError("case thresholds are fixed constants")
-
-    @classmethod
-    def at(cls, delta: float) -> "BoundParams":
-        return cls(delta=delta, beta=beta_of_delta(delta))
 
 
 @dataclass(frozen=True)
@@ -283,7 +261,7 @@ def _probe_trial(m: int, seed: int, trial: int) -> int:
     return int(matrix[s.root, t.root])
 
 
-def empirical_probe(m: int, trials: int, seed: int, threads: int = 1) -> ProbeResult:
+def empirical_probe(m: int, trials: int, seed: int) -> ProbeResult:
     """MAST sizes of ``trials`` uniformly labelled balanced pairs on 2**m
     leaves, each trial deterministic in (seed, trial index).
 
@@ -294,11 +272,7 @@ def empirical_probe(m: int, trials: int, seed: int, threads: int = 1) -> ProbeRe
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     n = 1 << m
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sizes = list(pool.map(lambda i: _probe_trial(m, seed, i), range(trials)))
-    else:
-        sizes = [_probe_trial(m, seed, i) for i in range(trials)]
+    sizes = [_probe_trial(m, seed, i) for i in range(trials)]
     min_mast = min(sizes)
     bound = lower_bound(n)
     if min_mast < bound:

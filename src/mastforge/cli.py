@@ -3,16 +3,12 @@
 All machine output is JSON on stdout; diagnostics go to stderr.  Exit code
 0 means the requested computation or check succeeded (for ``verify`` and
 ``bounds --certify``: the report passed); anything else is nonzero.
-
-The optional environment variable ``MAST_FORGE_THREADS`` caps how many
-probe trials run concurrently.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -159,10 +155,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    threads = int(os.environ.get("MAST_FORGE_THREADS", "1") or "1")
-    result = bounds_mod.empirical_probe(
-        args.m, args.trials, args.seed, threads=max(threads, 1)
-    )
+    result = bounds_mod.empirical_probe(args.m, args.trials, args.seed)
     _emit(result.as_dict())
     return 0
 
@@ -189,6 +182,11 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 1
     except (TreeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        # an internal invariant failed (BoundViolationError, PackingError,
+        # an inconsistent MAST table): a bug, reported without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -32,13 +32,7 @@ from dataclasses import dataclass, field
 
 from .mast import mast_dp
 from .report import CheckRecord, VerificationReport
-from .tree import (
-    CaterpillarEmbedding,
-    Tree,
-    TreeError,
-    make_balanced,
-    make_caterpillar,
-)
+from .tree import Tree, TreeError, make_balanced, make_caterpillar
 
 
 class PackingError(RuntimeError):
@@ -70,8 +64,8 @@ class PackingPlan:
     sequence realizes the caterpillar in exactly that order; for a complete
     shape this holds iff the branching level (p1 XOR pi).bit_length() is
     strictly increasing along the sequence, which is checked here.  The
-    ``restrict``-based check on a positionally labelled host is kept as the
-    independent test oracle.
+    ``restrict``-based check on a concrete host (``embeddings`` in
+    ``tests/conftest.py``) is the independent test oracle.
     """
 
     host_height: int
@@ -107,21 +101,6 @@ class PackingPlan:
     @property
     def count(self) -> int:
         return len(self.caterpillars)
-
-    def embeddings(self, host: Tree) -> list[CaterpillarEmbedding]:
-        """Bind the position sequences to the leaves of a concrete balanced
-        host of matching height (validates each embedding via restriction).
-        """
-        if not host.is_balanced() or host.height != self.host_height:
-            raise TreeError(
-                f"host must be balanced of height {self.host_height}, "
-                f"got height {host.height}"
-            )
-        leaves = host.leaf_labels_in_order()
-        return [
-            CaterpillarEmbedding(host, tuple(leaves[p] for p in cat))
-            for cat in self.caterpillars
-        ]
 
     def as_dict(self) -> dict:
         return {
@@ -480,9 +459,18 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
 
     checks: list[CheckRecord] = []
 
-    overlap_sizes = {
-        len(s_sets[i] & t_sets[j]) for i in range(side) for j in range(side)
+    blocks = {
+        (i, j): s_sets[i] & t_sets[j] for i in range(side) for j in range(side)
     }
+    # each nonempty block is restricted once per side; the partition and
+    # anti-caterpillar checks below both read these restrictions
+    restricted = {
+        (i, j): (s_subs[i].restrict(block), t_subs[j].restrict(block))
+        for (i, j), block in blocks.items()
+        if block
+    }
+
+    overlap_sizes = {len(block) for block in blocks.values()}
     checks.append(
         CheckRecord(
             "pairwise_overlap",
@@ -492,25 +480,25 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
         )
     )
 
-    def partitioned(subs, own_sets, other_sets) -> int:
-        ok = 0
-        for sub, own in zip(subs, own_sets):
-            blocks = [own & other for other in other_sets]
-            covered: set[str] = set()
-            good = True
-            for block in blocks:
-                if not block or covered & block:
-                    good = False
-                    break
-                covered |= block
-                if sub.restrict(block).caterpillar_order() is None:
-                    good = False
-                    break
-            ok += good and covered == own
-        return ok
+    def packed(own: frozenset[str], cells, which: int) -> bool:
+        """True iff the blocks at ``cells`` are nonempty, disjoint, cover
+        ``own`` and each restricts to a caterpillar on side ``which``."""
+        covered: set[str] = set()
+        for cell in cells:
+            block = blocks[cell]
+            if not block or covered & block:
+                return False
+            covered |= block
+            if restricted[cell][which].caterpillar_order() is None:
+                return False
+        return covered == own
 
-    s_ok = partitioned(s_subs, s_sets, t_sets)
-    t_ok = partitioned(t_subs, t_sets, s_sets)
+    s_ok = sum(
+        packed(s_sets[i], [(i, j) for j in range(side)], 0) for i in range(side)
+    )
+    t_ok = sum(
+        packed(t_sets[j], [(i, j) for i in range(side)], 1) for j in range(side)
+    )
     checks.append(
         CheckRecord(
             "caterpillar_partitions",
@@ -520,14 +508,7 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
         )
     )
 
-    anti_ok = 0
-    for i in range(side):
-        for j in range(side):
-            block = s_sets[i] & t_sets[j]
-            if block and is_anticaterpillar_pair(
-                s_subs[i].restrict(block), t_subs[j].restrict(block)
-            ):
-                anti_ok += 1
+    anti_ok = sum(is_anticaterpillar_pair(a, b) for a, b in restricted.values())
     checks.append(
         CheckRecord(
             "anticaterpillar_restrictions",

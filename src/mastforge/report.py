@@ -43,9 +43,6 @@ class VerificationReport:
                 return rec
         raise KeyError(name)
 
-    def failures(self) -> list[CheckRecord]:
-        return [rec for rec in self.checks if not rec.passed]
-
     def as_dict(self) -> dict:
         return {"pass": self.passed, "checks": [rec.as_dict() for rec in self.checks]}
 

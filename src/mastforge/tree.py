@@ -194,13 +194,6 @@ class Tree:
                 stack.append(rec.children[0])
         return out
 
-    def leaf_node(self, label: str) -> int:
-        """Node id of the leaf carrying ``label``."""
-        for rec in self.nodes:
-            if rec.is_leaf and rec.label == label:
-                return rec.id
-        raise TreeError(f"label {label!r} not present in tree")
-
     def is_balanced(self) -> bool:
         """True iff the tree has 2**height leaves (all leaves at one depth)."""
         return self.size == 1 << self.height
@@ -245,14 +238,6 @@ class Tree:
                 a, b = rec.children
                 vals[nid] = (vals[a], vals[b])
         return vals[node_id]
-
-    def maximal_pendant_subtrees(self) -> tuple["Tree", "Tree"]:
-        """The two subtrees hanging off the root, in stored order."""
-        rec = self.nodes[self.root]
-        if rec.is_leaf:
-            raise TreeError("a single-leaf tree has no pendant subtrees")
-        a, b = rec.children
-        return self.subtree(a), self.subtree(b)
 
     def pendant_subtrees_at_depth(self, depth: int) -> list["Tree"]:
         """The 2**depth pendant subtrees rooted at ``depth``, left to right.
@@ -341,27 +326,6 @@ class Tree:
                 return None
             leaf, rec = (a, b) if a.is_leaf else (b, a)
             tail.append(leaf.label)
-
-
-@dataclass(frozen=True)
-class CaterpillarEmbedding:
-    """An ordered leaf sequence realizing a caterpillar inside a host tree.
-
-    Restricting ``host`` to the sequence must yield exactly the caterpillar
-    in that order (checked on construction).
-    """
-
-    host: Tree
-    leaves: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.leaves:
-            raise TreeError("embedding needs at least one leaf")
-        realized = self.host.restrict(self.leaves)
-        if not realized.is_isomorphic(make_caterpillar(list(self.leaves))):
-            raise TreeError(
-                f"leaves {self.leaves} do not realize a caterpillar in the host"
-            )
 
 
 # ----------------------------------------------------------------------

@@ -4,15 +4,18 @@ The oracles here deliberately avoid the library's own code paths: nested
 isomorphism is checked by exhaustive recursive matching, and the space of
 all rooted binary leaf-labelled trees on a small label set is enumerated
 directly, so canonical forms and the MAST solver can be validated against
-something that cannot share their bugs.
+something that cannot share their bugs.  Caterpillar embeddings are
+re-checked by restricting a concrete host, independently of the position
+arithmetic `PackingPlan` validates itself with.
 """
 
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from mastforge import Tree, make_balanced, parse
+from mastforge import Tree, TreeError, make_balanced, make_caterpillar, parse
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -154,3 +157,40 @@ def naive_mast_size(s: Tree, t: Tree) -> int:
         )
 
     return go(s.root, t.root)
+
+
+@dataclass(frozen=True)
+class CaterpillarEmbedding:
+    """An ordered leaf sequence realizing a caterpillar inside a host tree.
+
+    Restricting ``host`` to the sequence must yield exactly the caterpillar
+    in that order (checked on construction).
+    """
+
+    host: Tree
+    leaves: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.leaves:
+            raise TreeError("embedding needs at least one leaf")
+        realized = self.host.restrict(self.leaves)
+        if not realized.is_isomorphic(make_caterpillar(list(self.leaves))):
+            raise TreeError(
+                f"leaves {self.leaves} do not realize a caterpillar in the host"
+            )
+
+
+def embeddings(plan, host: Tree) -> list[CaterpillarEmbedding]:
+    """Bind a packing plan's position sequences to the leaves of a concrete
+    balanced host of matching height (validates each embedding via
+    restriction)."""
+    if not host.is_balanced() or host.height != plan.host_height:
+        raise TreeError(
+            f"host must be balanced of height {plan.host_height}, "
+            f"got height {host.height}"
+        )
+    leaves = host.leaf_labels_in_order()
+    return [
+        CaterpillarEmbedding(host, tuple(leaves[p] for p in cat))
+        for cat in plan.caterpillars
+    ]

@@ -180,13 +180,23 @@ class TestPackBoundsProbe:
         assert payload["certificates"]["pass"] is True
         assert abs(payload["beta"]["beta"] - 0.149) <= 0.001
 
-    def test_probe(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAST_FORGE_THREADS", "2")
+    def test_probe(self, capsys):
         code, out, _ = run(capsys, "probe", "--m", "3", "--trials", "5", "--seed", "11")
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == 8
         assert payload["all_above"] is True
+
+    def test_internal_error_is_one_line(self, capsys, monkeypatch):
+        # a real floor violation is impossible; force one to confirm the CLI
+        # reports it as a single diagnostic line, not a traceback
+        import mastforge.bounds as bounds_mod
+
+        monkeypatch.setattr(bounds_mod, "lower_bound", lambda n: float(n))
+        code, out, err = run(capsys, "probe", "--m", "3", "--trials", "2")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_flag_is_nonzero(self, capsys):
         code = main(["pack", "--n", "4", "--bogus"])

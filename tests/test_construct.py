@@ -230,6 +230,21 @@ class TestCounterexample:
             == pair.expected_mast
         )
 
+    def test_verify_restricts_each_block_once_per_side(self, monkeypatch):
+        # k=2 has 4 block pairs, each restricted once in both trees, plus
+        # the 2 restrictions of the witness check inside mast_dp
+        pair = build_counterexample(2)
+        calls = []
+        original = Tree.restrict
+
+        def counting(self, labels):
+            calls.append(self)
+            return original(self, labels)
+
+        monkeypatch.setattr(Tree, "restrict", counting)
+        assert verify_counterexample(pair).passed
+        assert len(calls) == 10
+
     def test_corrupted_pair_detected(self):
         from mastforge import CounterexamplePair
 
@@ -242,7 +257,7 @@ class TestCounterexample:
         )
         report = verify_counterexample(corrupted)
         assert not report.passed
-        assert report.failures(), "at least one check must fail"
+        assert any(not rec.passed for rec in report.checks), "at least one check must fail"
 
     def test_large_k_rejected_with_guidance(self):
         with pytest.raises(ValueError, match="counterexample_parameters"):

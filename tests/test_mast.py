@@ -148,8 +148,10 @@ class TestSizeMatrix:
         s = make_caterpillar(["x", "y"])
         t = make_caterpillar(["x", "z"])
         matrix = mast_size_matrix(s, t)
-        assert matrix[s.leaf_node("x"), t.leaf_node("x")] == 1
-        assert matrix[s.leaf_node("y"), t.leaf_node("z")] == 0
+        s_leaf = {rec.label: rec.id for rec in s.nodes if rec.is_leaf}
+        t_leaf = {rec.label: rec.id for rec in t.nodes if rec.is_leaf}
+        assert matrix[s_leaf["x"], t_leaf["x"]] == 1
+        assert matrix[s_leaf["y"], t_leaf["z"]] == 0
 
     def test_root_entry_equals_mast(self):
         rng = random.Random(31)
