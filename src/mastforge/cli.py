@@ -113,6 +113,12 @@ def _cmd_verify(args) -> int:
     if args.s is None:
         pair = construct.build_counterexample(args.k)
     else:
+        # n is a 2**(k+1)-bit number: refuse before computing it
+        if args.k > construct.MAX_BUILDABLE_K:
+            raise ValueError(
+                f"k={args.k} is too large; pairs are only verified up "
+                f"to k={construct.MAX_BUILDABLE_K}"
+            )
         params = construct.counterexample_parameters(args.k)
         pair = construct.CounterexamplePair(
             args.k,
@@ -191,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"cannot read or write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the inputs are too large for this machine",
+              file=sys.stderr)
         return 1
 
 

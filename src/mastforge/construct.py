@@ -345,7 +345,7 @@ def build_counterexample(k: int) -> CounterexamplePair:
         raise ValueError(f"k must be positive, got {k}")
     if k > MAX_BUILDABLE_K:
         raise ValueError(
-            f"k={k} would need 2**{(1 << (k + 1)) - k - 2} leaves per tree; "
+            f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree; "
             f"trees are only materialized up to k={MAX_BUILDABLE_K} "
             "(use counterexample_parameters for the closed forms)"
         )

@@ -51,57 +51,50 @@ def mast_size_matrix(s: Tree, t: Tree) -> np.ndarray:
     roots are ``s.root`` and ``t.root``) is the MAST size of the subtree of
     ``s`` at ``u`` versus the subtree of ``t`` at ``v``.
     """
-    n_s, n_t = len(s.nodes), len(t.nodes)
-    matrix = np.zeros((n_s, n_t), dtype=np.int32)
+    matrix = np.zeros((len(s.label), len(t.label)), dtype=np.int32)
 
     # T-side geometry, used to evaluate every row in vectorized form.
-    t_parent = np.full(n_t, -1, dtype=np.int64)
-    t_height = np.zeros(n_t, dtype=np.int64)
-    internal: list[int] = []
-    for rec in t.nodes:
-        if not rec.is_leaf:
-            a, b = rec.children
-            t_parent[a] = rec.id
-            t_parent[b] = rec.id
-            t_height[rec.id] = 1 + max(t_height[a], t_height[b])
-            internal.append(rec.id)
-    t_leaf_at = {rec.label: rec.id for rec in t.nodes if rec.is_leaf}
+    t_left = np.asarray(t.left, dtype=np.int64)
+    t_right = np.asarray(t.right, dtype=np.int64)
+    t_height = np.asarray(t.heights, dtype=np.int64)
+    internal = np.flatnonzero(t_left >= 0)
+    left = t_left[internal]
+    right = t_right[internal]
+    t_parent = np.full(len(t.label), -1, dtype=np.int64)
+    t_parent[left] = internal
+    t_parent[right] = internal
+    t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
 
-    if internal:
-        internal_arr = np.asarray(internal, dtype=np.int64)
-        left = np.asarray([t.nodes[v].children[0] for v in internal], dtype=np.int64)
-        right = np.asarray([t.nodes[v].children[1] for v in internal], dtype=np.int64)
-        # internal nodes grouped by height: within one group the subtree-max
-        # updates are independent, and all children live in lower groups
-        levels = []
-        for h in range(1, int(t_height.max()) + 1):
-            mask = t_height[internal_arr] == h
-            if mask.any():
-                levels.append((internal_arr[mask], left[mask], right[mask]))
+    # internal nodes grouped by height: within one group the subtree-max
+    # updates are independent, and all children live in lower groups
+    levels = []
+    for h in range(1, t.height + 1):
+        mask = t_height[internal] == h
+        if mask.any():
+            levels.append((internal[mask], left[mask], right[mask]))
 
-    for rec in s.nodes:  # postorder: child rows exist before parent rows
-        if rec.is_leaf:
-            v = t_leaf_at.get(rec.label)
+    # postorder: child rows exist before parent rows
+    for u, (a, b, lab) in enumerate(zip(s.left, s.right, s.label)):
+        row = matrix[u]
+        if a < 0:
+            v = t_leaf_at.get(lab)
             if v is not None:
-                row = matrix[rec.id]
                 row[v] = 1
                 p = t_parent[v]
                 while p >= 0:  # a single common leaf contributes 1 everywhere above
                     row[p] = 1
                     p = t_parent[p]
             continue
-        a, b = rec.children
         row_a = matrix[a]
         row_b = matrix[b]
-        row = matrix[rec.id]
         np.maximum(row_a, row_b, out=row)  # terms (S_L, T) and (S_R, T)
-        if internal:
+        if internal.size:
             # terms LL+RR and LR+RL at every internal node of T
             paired = np.maximum(
                 row_a[left] + row_b[right], row_a[right] + row_b[left]
             )
-            np.maximum(row[internal_arr], paired, out=paired)
-            row[internal_arr] = paired
+            np.maximum(row[internal], paired, out=paired)
+            row[internal] = paired
             # terms (S, T_L) and (S, T_R): max over the subtree below each node
             for ids, lf, rg in levels:
                 scratch = paired[: len(ids)]
@@ -119,15 +112,14 @@ def _backtrack(s: Tree, t: Tree, matrix: np.ndarray) -> list[str]:
         val = matrix[u, v]
         if val == 0:
             continue
-        ru, rv = s.nodes[u], t.nodes[v]
-        if ru.is_leaf:
-            labels.append(ru.label)
+        a, b = s.left[u], s.right[u]
+        if a < 0:
+            labels.append(s.label[u])
             continue
-        if rv.is_leaf:
-            labels.append(rv.label)
+        c, d = t.left[v], t.right[v]
+        if c < 0:
+            labels.append(t.label[v])
             continue
-        a, b = ru.children
-        c, d = rv.children
         if matrix[a, c] + matrix[b, d] == val:
             stack.append((a, c))
             stack.append((b, d))

@@ -125,13 +125,9 @@ def serialize(tree: Tree) -> str:
     """Emit the tree in the grammar above: no whitespace, children in stored
     order, terminated by ';'.
     """
-    vals: list[str] = [""] * len(tree.nodes)
-    for rec in tree.nodes:  # postorder: children precede parents
-        if rec.is_leaf:
-            vals[rec.id] = rec.label
-        else:
-            a, b = rec.children
-            vals[rec.id] = f"({vals[a]},{vals[b]})"
+    vals: list[str] = []
+    for a, b, lab in zip(tree.left, tree.right, tree.label):  # postorder
+        vals.append(lab if a < 0 else f"({vals[a]},{vals[b]})")
     return vals[tree.root] + ";"
 
 

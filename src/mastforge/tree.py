@@ -7,6 +7,10 @@ permitted degenerate shape.  Child order is stored (it matters for
 serialization) but carries no meaning: all comparisons go through the
 canonical form, which treats children as unordered.
 
+A tree is stored as parallel tuples indexed by postorder node id (children
+``left``/``right``, leaf ``label``, subtree ``heights``); every operation
+below is a fold over those ids or a walk along the child links.
+
 Supported operations are the ones needed for agreement-subtree work:
 restriction to a leaf subset (suppressing degree-two vertices), isomorphism
 via canonical forms, caterpillar recognition, and balanced-shape utilities
@@ -15,7 +19,6 @@ via canonical forms, caterpillar recognition, and balanced-shape utilities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 RESERVED_LABEL_CHARS = frozenset("(),;")
@@ -41,46 +44,50 @@ def validate_label(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """One vertex of the node arena.
-
-    ``label`` is present exactly when ``children`` is empty.  Node ids are
-    indices into the owning tree's arena, assigned in postorder, so every
-    child id is smaller than its parent's id.
-    """
-
-    id: int
-    parent: int | None
-    children: tuple[int, int] | tuple[()]
-    label: str | None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
 # Nested form used by builders: a leaf is a label string, an internal node a
 # pair of nested forms.  All traversals below are iterative so that deep
 # (caterpillar-like) trees never hit the interpreter recursion limit.
 
 
 class Tree:
-    """Immutable rooted binary tree over an arena of :class:`NodeRecord`.
+    """Immutable rooted binary tree stored as parallel tuples.
 
-    Instances are only built through the classmethods / module builders and
-    never mutated afterwards, so they are safe to share between threads and
-    to use as cache keys (by identity).
+    Node ids are postorder positions ``0 .. 2*size - 2``, so every child id
+    is smaller than its parent's, the root is the last id, and the subtree
+    at ``v`` is the contiguous id range from its leftmost leaf to ``v``.
+    For each id ``v``:
+
+    * ``left[v]`` and ``right[v]`` are the children, ``-1`` at a leaf;
+    * ``label[v]`` is the leaf label, ``None`` at an internal node;
+    * ``heights[v]`` is the height of the subtree at ``v``.
+
+    :meth:`from_nested` is the only builder and the only validator; the
+    constructor trusts the tuples it is given.  Instances are never mutated
+    afterwards, so they are safe to share between threads and to use as
+    cache keys (by identity).
     """
 
-    __slots__ = ("nodes", "root", "size", "height", "_leaf_set", "_canonical")
+    __slots__ = (
+        "left", "right", "label", "heights", "root", "size", "height",
+        "_leaf_set", "_canonical",
+    )
 
-    def __init__(self, nodes: tuple[NodeRecord, ...], root: int):
-        self.nodes = nodes
-        self.root = root
+    def __init__(
+        self,
+        left: tuple[int, ...],
+        right: tuple[int, ...],
+        label: tuple[str | None, ...],
+        heights: tuple[int, ...],
+    ):
+        self.left = left
+        self.right = right
+        self.label = label
+        self.heights = heights
+        self.root = len(label) - 1
+        self.size = (len(label) + 1) // 2
+        self.height = heights[-1]
         self._leaf_set: frozenset[str] | None = None
         self._canonical: str | None = None
-        self._validate()
 
     # ------------------------------------------------------------------
     # construction
@@ -88,30 +95,38 @@ class Tree:
 
     @classmethod
     def from_nested(cls, nested) -> "Tree":
-        """Build a tree from the nested form (label, or pair of nested forms)."""
-        parents: list[int | None] = []
-        children: list[tuple[int, int] | tuple[()]] = []
-        labels: list[str | None] = []
+        """Build a tree from the nested form (label, or pair of nested forms).
+
+        Checks binary shape, label legality and label uniqueness in the same
+        walk that assigns the postorder ids.
+        """
+        left: list[int] = []
+        right: list[int] = []
+        label: list[str | None] = []
+        heights: list[int] = []
+        seen: set[str] = set()
         done: list[int] = []  # ids of completed subtrees
         stack: list[tuple[object, bool]] = [(nested, False)]
         while stack:
             item, expanded = stack.pop()
             if isinstance(item, str):
-                nid = len(labels)
-                parents.append(None)
-                children.append(())
-                labels.append(validate_label(item))
-                done.append(nid)
+                validate_label(item)
+                if item in seen:
+                    raise TreeError(f"duplicate leaf label {item!r}")
+                seen.add(item)
+                done.append(len(label))
+                left.append(-1)
+                right.append(-1)
+                label.append(item)
+                heights.append(0)
             elif expanded:
-                right = done.pop()
-                left = done.pop()
-                nid = len(labels)
-                parents.append(None)
-                children.append((left, right))
-                labels.append(None)
-                parents[left] = nid
-                parents[right] = nid
-                done.append(nid)
+                b = done.pop()
+                a = done.pop()
+                done.append(len(label))
+                left.append(a)
+                right.append(b)
+                label.append(None)
+                heights.append(1 + max(heights[a], heights[b]))
             else:
                 if not (isinstance(item, tuple) and len(item) == 2):
                     raise TreeError(
@@ -121,53 +136,7 @@ class Tree:
                 stack.append((item, True))
                 stack.append((item[1], False))
                 stack.append((item[0], False))
-        root = done.pop()
-        nodes = tuple(
-            NodeRecord(i, parents[i], children[i], labels[i])
-            for i in range(len(labels))
-        )
-        return cls(nodes, root)
-
-    def _validate(self) -> None:
-        nodes = self.nodes
-        if not nodes:
-            raise TreeError("tree must contain at least one node")
-        if not (0 <= self.root < len(nodes)) or nodes[self.root].parent is not None:
-            raise TreeError("root must be a parentless node of the arena")
-        seen_labels: set[str] = set()
-        n_leaves = 0
-        root_count = 0
-        for rec in nodes:
-            if rec.parent is None:
-                root_count += 1
-            if rec.is_leaf:
-                if rec.label is None:
-                    raise TreeError(f"leaf node {rec.id} has no label")
-                validate_label(rec.label)
-                if rec.label in seen_labels:
-                    raise TreeError(f"duplicate leaf label {rec.label!r}")
-                seen_labels.add(rec.label)
-                n_leaves += 1
-            else:
-                if rec.label is not None:
-                    raise TreeError(f"internal node {rec.id} carries a label")
-                if len(rec.children) != 2:
-                    raise TreeError(f"internal node {rec.id} is not binary")
-                for c in rec.children:
-                    # postorder ids double as an acyclicity certificate
-                    if not (0 <= c < rec.id):
-                        raise TreeError(f"child id {c} does not precede parent {rec.id}")
-                    if nodes[c].parent != rec.id:
-                        raise TreeError(f"parent link of node {c} is inconsistent")
-        if root_count != 1:
-            raise TreeError(f"expected exactly one root, found {root_count}")
-        self.size = n_leaves
-        heights = [0] * len(nodes)
-        for rec in nodes:
-            if not rec.is_leaf:
-                a, b = rec.children
-                heights[rec.id] = 1 + max(heights[a], heights[b])
-        self.height = heights[self.root]
+        return cls(tuple(left), tuple(right), tuple(label), tuple(heights))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -176,23 +145,12 @@ class Tree:
     def leaf_set(self) -> frozenset[str]:
         """The set of leaf labels."""
         if self._leaf_set is None:
-            self._leaf_set = frozenset(
-                rec.label for rec in self.nodes if rec.is_leaf
-            )
+            self._leaf_set = frozenset(self.leaf_labels_in_order())
         return self._leaf_set
 
     def leaf_labels_in_order(self) -> list[str]:
         """Leaf labels left to right in stored child order."""
-        out: list[str] = []
-        stack = [self.root]
-        while stack:
-            rec = self.nodes[stack.pop()]
-            if rec.is_leaf:
-                out.append(rec.label)
-            else:
-                stack.append(rec.children[1])
-                stack.append(rec.children[0])
-        return out
+        return [lab for lab in self.label if lab is not None]
 
     def is_balanced(self) -> bool:
         """True iff the tree has 2**height leaves (all leaves at one depth)."""
@@ -200,14 +158,7 @@ class Tree:
 
     def to_nested(self):
         """Return the nested form (labels and pairs) of this tree."""
-        vals: list[object] = [None] * len(self.nodes)
-        for rec in self.nodes:  # postorder: children come first
-            if rec.is_leaf:
-                vals[rec.id] = rec.label
-            else:
-                a, b = rec.children
-                vals[rec.id] = (vals[a], vals[b])
-        return vals[self.root]
+        return self._nested_below(self.root)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tree leaves={self.size} height={self.height}>"
@@ -221,23 +172,18 @@ class Tree:
         return Tree.from_nested(self._nested_below(node_id))
 
     def _nested_below(self, node_id: int):
-        vals: dict[int, object] = {}
-        order: list[int] = []
-        stack = [node_id]
-        while stack:  # collect descendants, then fold bottom-up
-            nid = stack.pop()
-            order.append(nid)
-            rec = self.nodes[nid]
-            if not rec.is_leaf:
-                stack.extend(rec.children)
-        for nid in reversed(order):
-            rec = self.nodes[nid]
-            if rec.is_leaf:
-                vals[nid] = rec.label
+        left, right, label = self.left, self.right, self.label
+        first = node_id  # the leftmost leaf opens the subtree's id range
+        while left[first] >= 0:
+            first = left[first]
+        vals: list[object] = []
+        for v in range(first, node_id + 1):  # postorder: children come first
+            a = left[v]
+            if a < 0:
+                vals.append(label[v])
             else:
-                a, b = rec.children
-                vals[nid] = (vals[a], vals[b])
-        return vals[node_id]
+                vals.append((vals[a - first], vals[right[v] - first]))
+        return vals[-1]
 
     def pendant_subtrees_at_depth(self, depth: int) -> list["Tree"]:
         """The 2**depth pendant subtrees rooted at ``depth``, left to right.
@@ -251,11 +197,8 @@ class Tree:
             raise TreeError(f"depth {depth} exceeds height {self.height}")
         frontier = [self.root]
         for _ in range(depth):
-            nxt: list[int] = []
-            for nid in frontier:
-                nxt.extend(self.nodes[nid].children)
-            frontier = nxt
-        return [self.subtree(nid) for nid in frontier]
+            frontier = [c for v in frontier for c in (self.left[v], self.right[v])]
+        return [self.subtree(v) for v in frontier]
 
     def restrict(self, labels: Iterable[str]) -> "Tree":
         """The restriction to ``labels``: the minimal subtree connecting those
@@ -268,18 +211,16 @@ class Tree:
         missing = wanted - self.leaf_set()
         if missing:
             raise TreeError(f"labels not in tree: {sorted(missing)}")
-        vals: list[object] = [None] * len(self.nodes)
-        for rec in self.nodes:  # postorder fold
-            if rec.is_leaf:
-                if rec.label in wanted:
-                    vals[rec.id] = rec.label
+        vals: list[object] = []
+        for a, b, lab in zip(self.left, self.right, self.label):  # postorder fold
+            if a < 0:
+                vals.append(lab if lab in wanted else None)
             else:
-                a, b = rec.children
                 va, vb = vals[a], vals[b]
                 if va is not None and vb is not None:
-                    vals[rec.id] = (va, vb)
+                    vals.append((va, vb))
                 else:
-                    vals[rec.id] = va if va is not None else vb
+                    vals.append(va if va is not None else vb)
         return Tree.from_nested(vals[self.root])
 
     def canonical_form(self) -> str:
@@ -290,15 +231,15 @@ class Tree:
         sorted lexicographically, parenthesised and comma-separated.
         """
         if self._canonical is None:
-            vals: list[str] = [""] * len(self.nodes)
-            for rec in self.nodes:
-                if rec.is_leaf:
-                    vals[rec.id] = rec.label
+            vals: list[str] = []
+            for a, b, lab in zip(self.left, self.right, self.label):
+                if a < 0:
+                    vals.append(lab)
                 else:
-                    a, b = (vals[c] for c in rec.children)
-                    if b < a:
-                        a, b = b, a
-                    vals[rec.id] = f"({a},{b})"
+                    x, y = vals[a], vals[b]
+                    if y < x:
+                        x, y = y, x
+                    vals.append(f"({x},{y})")
             self._canonical = vals[self.root]
         return self._canonical
 
@@ -313,19 +254,21 @@ class Tree:
         ascending token order.  (For a caterpillar the ordering is unique up
         to swapping the cherry.)
         """
-        rec = self.nodes[self.root]
-        if rec.is_leaf:
-            return [rec.label]
+        left, right, label = self.left, self.right, self.label
+        v = self.root
+        if left[v] < 0:
+            return [label[v]]
         tail: list[str] = []
         while True:
-            a, b = (self.nodes[c] for c in rec.children)
-            if a.is_leaf and b.is_leaf:
-                cherry = sorted((a.label, b.label))
+            a, b = left[v], right[v]
+            a_leaf, b_leaf = left[a] < 0, left[b] < 0
+            if a_leaf and b_leaf:
+                cherry = sorted((label[a], label[b]))
                 return cherry + tail[::-1]
-            if not a.is_leaf and not b.is_leaf:
+            if not a_leaf and not b_leaf:
                 return None
-            leaf, rec = (a, b) if a.is_leaf else (b, a)
-            tail.append(leaf.label)
+            leaf, v = (a, b) if a_leaf else (b, a)
+            tail.append(label[leaf])
 
 
 # ----------------------------------------------------------------------

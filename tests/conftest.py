@@ -136,17 +136,14 @@ def naive_mast_size(s: Tree, t: Tree) -> int:
 
     @cache
     def go(u: int, v: int) -> int:
-        ru, rv = s.nodes[u], t.nodes[v]
-        if ru.is_leaf and rv.is_leaf:
-            return int(ru.label == rv.label)
-        if ru.is_leaf:
-            c, d = rv.children
+        a, b = s.left[u], s.right[u]
+        c, d = t.left[v], t.right[v]
+        if a < 0 and c < 0:
+            return int(s.label[u] == t.label[v])
+        if a < 0:
             return max(go(u, c), go(u, d))
-        if rv.is_leaf:
-            a, b = ru.children
+        if c < 0:
             return max(go(a, v), go(b, v))
-        a, b = ru.children
-        c, d = rv.children
         return max(
             go(a, c) + go(b, d),
             go(a, d) + go(b, c),

@@ -46,6 +46,16 @@ class TestGenerate:
         assert code == 1 and not out
         assert "k=5" in err
 
+    def test_huge_k_refusal_writes_the_exponent_symbolically(self, tmp_path, capsys):
+        # 2**(2**20001 - 20002) has more digits than int-to-str allows
+        code, out, err = run(
+            capsys, "generate", "--k", "20000",
+            "--out-s", str(tmp_path / "s.nwk"), "--out-t", str(tmp_path / "t.nwk"),
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: k=20000 would need 2**(2**20001 - 20002) ")
+        assert err.count("\n") == 1
+
     def test_pipeline_generate_then_mast(self, tmp_path, capsys):
         s_path, t_path = str(tmp_path / "s.nwk"), str(tmp_path / "t.nwk")
         code, _, _ = run(capsys, "generate", "--k", "2", "--out-s", s_path, "--out-t", t_path)
@@ -149,6 +159,23 @@ class TestVerify:
         )
         assert code == 1 and err
 
+    def test_oversized_k_refused_before_any_work(self, capsys, monkeypatch):
+        # n = 2**(2**(k+1)-k-2) grows doubly exponentially: it must never be
+        # computed for a k no pair can be verified at
+        import mastforge.construct as construct_mod
+
+        def forbidden(k):
+            raise AssertionError(f"counterexample_parameters({k}) was called")
+
+        monkeypatch.setattr(construct_mod, "counterexample_parameters", forbidden)
+        code, out, err = run(
+            capsys, "verify", "--k", "4",
+            "--s", str(DATA_DIR / "balanced2048_s.nwk"),
+            "--t", str(DATA_DIR / "balanced2048_t.nwk"),
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: k=4 ") and err.count("\n") == 1
+
     def test_one_sided_flags_rejected(self, tmp_path, capsys):
         path = tmp_path / "s.nwk"
         path.write_text("(a,b);\n")
@@ -196,6 +223,20 @@ class TestPackBoundsProbe:
         code, out, err = run(capsys, "probe", "--m", "3", "--trials", "2")
         assert code == 1 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        import mastforge.cli as cli_mod
+
+        def exhausted(s, t):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "mast_dp", exhausted)
+        path = tmp_path / "t.nwk"
+        path.write_text("(a,b);\n")
+        code, out, err = run(capsys, "mast", str(path), str(path))
+        assert code == 1 and not out
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_unknown_flag_is_nonzero(self, capsys):

@@ -148,8 +148,8 @@ class TestSizeMatrix:
         s = make_caterpillar(["x", "y"])
         t = make_caterpillar(["x", "z"])
         matrix = mast_size_matrix(s, t)
-        s_leaf = {rec.label: rec.id for rec in s.nodes if rec.is_leaf}
-        t_leaf = {rec.label: rec.id for rec in t.nodes if rec.is_leaf}
+        s_leaf = {lab: v for v, lab in enumerate(s.label) if lab is not None}
+        t_leaf = {lab: v for v, lab in enumerate(t.label) if lab is not None}
         assert matrix[s_leaf["x"], t_leaf["x"]] == 1
         assert matrix[s_leaf["y"], t_leaf["z"]] == 0
 
@@ -168,12 +168,11 @@ class TestSizeMatrix:
         rng = random.Random(32)
         s, t, _ = random_overlapping_pair(rng, max_common=8)
         matrix = mast_size_matrix(s, t)
-        for rec in s.nodes:
-            if rec.is_leaf:
+        for u, (a, b) in enumerate(zip(s.left, s.right)):
+            if a < 0:
                 continue
-            a, b = rec.children
-            assert (matrix[rec.id] >= matrix[a]).all()
-            assert (matrix[rec.id] >= matrix[b]).all()
+            assert (matrix[u] >= matrix[a]).all()
+            assert (matrix[u] >= matrix[b]).all()
 
 
 class TestBalancedPairs:

@@ -108,7 +108,7 @@ class TestRestrict:
     def test_balanced_pendants_are_powers_of_two(self):
         t = make_balanced(4, [str(i) for i in range(16)])
         sizes = set()
-        for nid in range(len(t.nodes)):
+        for nid in range(len(t.label)):
             sizes.add(t.subtree(nid).size)
         assert all(s & (s - 1) == 0 for s in sizes)
 
@@ -236,7 +236,7 @@ class TestCaterpillarEmbedding:
 class TestImmutabilityContract:
     def test_nodes_are_frozen(self, packed8):
         with pytest.raises(Exception):
-            packed8.nodes[0].label = "other"
+            packed8.label[0] = "other"
 
     def test_relabelling_builds_a_new_tree(self, packed8):
         mapping = {lab: f"n{lab}" for lab in packed8.leaf_set()}
