@@ -140,6 +140,11 @@ def _pack(n: int, offset: int) -> list[list[int]]:
     return out
 
 
+# A plan holds 2**(n-1) positions as Python ints; time grows ~4x per step of 2
+# in n (n=20: 5.8 s, 122 MB on a 2-core host), and n near 30 would need > 8 GB.
+MAX_PACK_N = 24
+
+
 def pack_caterpillars(n: int) -> PackingPlan:
     """Pack a_of_n(n) disjoint n-caterpillars into the balanced shape on
     2**(n-1) leaves.  Extension leaves are consumed in ascending position
@@ -148,6 +153,8 @@ def pack_caterpillars(n: int) -> PackingPlan:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > MAX_PACK_N:
+        raise ValueError(f"n={n} is too large; packings are built up to n={MAX_PACK_N}")
     cats = _pack(n, 0)
     if len(cats) != a_of_n(n):
         raise PackingError(f"packed {len(cats)} caterpillars, expected {a_of_n(n)}")
@@ -196,59 +203,37 @@ def _tiled_packing(height: int, cat_exponent: int) -> PackingPlan:
 
 @dataclass(frozen=True)
 class LabelGrid:
-    """The 2**h1 x 2**h1 arrangement of consecutive label blocks.
+    """The 2**h1 x 2**h1 grid of consecutive label blocks, in closed form.
 
-    Block (i, j) (1-based) is L_r with r = j + (i-1) * 2**h1, where
-    L_r = {1 + (r-1)*B, ..., r*B} and B = 2**(h2-h1).  Row i is the label
-    set of the i-th subtree on one side, column j of the j-th subtree on the
-    other; any row and column intersect in exactly their shared block.
+    Block (i, j), for i, j in 1..2**h1, is L_r = {(r-1)*B + 1, ..., r*B} with
+    r = j + (i-1) * 2**h1 and B = 2**(h2-h1): row-major, the blocks cut
+    1..2**(h1+h2) into runs of B.  Row i is the label set of the i-th subtree
+    on one side, column j of the j-th on the other; any row and column
+    intersect in exactly their shared block.
     """
 
     h1: int
     h2: int
-    blocks: dict[tuple[int, int], tuple[int, ...]]
 
     def __post_init__(self):
-        side = 1 << self.h1
-        universe: set[int] = set()
-        for i in range(1, side + 1):
-            for j in range(1, side + 1):
-                block = self.blocks[(i, j)]
-                if len(block) != self.block_size:
-                    raise ValueError(f"block {(i, j)} has wrong size")
-                universe.update(block)
-        if universe != set(range(1, (1 << (self.h1 + self.h2)) + 1)):
-            raise ValueError("blocks do not partition the label universe")
+        if self.h1 < 0 or self.h2 < self.h1:
+            raise ValueError(f"need 0 <= h1 <= h2, got h1={self.h1}, h2={self.h2}")
 
     @property
     def block_size(self) -> int:
         return 1 << (self.h2 - self.h1)
 
     def block(self, i: int, j: int) -> tuple[int, ...]:
-        return self.blocks[(i, j)]
-
-    def row_labels(self, i: int) -> set[int]:
         side = 1 << self.h1
-        return {x for j in range(1, side + 1) for x in self.blocks[(i, j)]}
-
-    def column_labels(self, j: int) -> set[int]:
-        side = 1 << self.h1
-        return {x for i in range(1, side + 1) for x in self.blocks[(i, j)]}
+        if not (1 <= i <= side and 1 <= j <= side):
+            raise KeyError((i, j))
+        r = j + (i - 1) * side
+        return tuple(range((r - 1) * self.block_size + 1, r * self.block_size + 1))
 
 
 def label_grid(h1: int, h2: int) -> LabelGrid:
     """Build the grid of consecutive blocks for heights h1 <= h2."""
-    if h1 < 0 or h2 < h1:
-        raise ValueError(f"need 0 <= h1 <= h2, got h1={h1}, h2={h2}")
-    side = 1 << h1
-    block_size = 1 << (h2 - h1)
-    blocks: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(1, side + 1):
-        for j in range(1, side + 1):
-            r = j + (i - 1) * side
-            start = (r - 1) * block_size
-            blocks[(i, j)] = tuple(range(start + 1, start + block_size + 1))
-    return LabelGrid(h1, h2, blocks)
+    return LabelGrid(h1, h2)
 
 
 # ----------------------------------------------------------------------
@@ -372,18 +357,15 @@ def _fill_grid_pair(
     subtree_leaves = 1 << grid.h2
     s_labels: list[str] = []
     t_labels: list[str] = []
-    for i in range(1, side + 1):
-        slot: list[str] = [""] * subtree_leaves
-        for j in range(1, side + 1):
-            for pos, lab in zip(cats[j - 1], grid.block(i, j)):
-                slot[pos] = str(lab)
-        s_labels.extend(slot)
-    for j in range(1, side + 1):
-        slot = [""] * subtree_leaves
-        for i in range(1, side + 1):
-            for pos, lab in zip(cats[i - 1], reversed(grid.block(i, j))):
-                slot[pos] = str(lab)
-        t_labels.extend(slot)
+    for a in range(1, side + 1):
+        s_slot = [""] * subtree_leaves
+        t_slot = [""] * subtree_leaves
+        for b, cat in enumerate(cats, 1):
+            for pos, s_lab, t_lab in zip(cat, grid.block(a, b), reversed(grid.block(b, a))):
+                s_slot[pos] = str(s_lab)
+                t_slot[pos] = str(t_lab)
+        s_labels.extend(s_slot)
+        t_labels.extend(t_slot)
     height = grid.h1 + grid.h2
     return make_balanced(height, s_labels), make_balanced(height, t_labels)
 
@@ -419,24 +401,53 @@ def choose_k_for_c(c: float) -> int:
     """Smallest k >= 1 with k > 2*log2(1/c) + 2, which guarantees
     2**(-k/2 + 1) < c and hence a pair whose MAST is below c * sqrt(n).
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    bound = 2 * math.log2(1 / c) + 2
-    k = max(1, math.floor(bound) + 1)
-    if not 2.0 ** (-k / 2 + 1) < c:
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be a positive finite number, got {c}")
+    # in logs: 1/c overflows and 2**(-k/2+1) rounds up to c at subnormal c
+    log_c = math.log2(c)
+    k = max(1, math.floor(-2 * log_c + 2) + 1)
+    if not -k / 2 + 1 < log_c:
         raise AssertionError(f"guard inequality 2**(-k/2+1) < c failed for k={k}")
-    # same inequality in the mast < c*sqrt(n) form, via logs for large k
-    mast_log = (1 << k) - k if k <= 64 else None
-    if mast_log is not None:
-        half_n_log = ((1 << (k + 1)) - k - 2) / 2
-        if not mast_log < math.log2(c) + half_n_log:
-            raise AssertionError(f"mast < c*sqrt(n) failed for k={k}")
+    # same inequality in the mast < c*sqrt(n) form, while log2(n) fits a float
+    if k <= 64 and not (1 << k) - k < log_c + ((1 << (k + 1)) - k - 2) / 2:
+        raise AssertionError(f"mast < c*sqrt(n) failed for k={k}")
     return k
 
 
 # ----------------------------------------------------------------------
 # verifiers
 # ----------------------------------------------------------------------
+
+def _pendant_blocks(s: Tree, t: Tree, s_depth: int, t_depth: int):
+    """The pendant-subtree leaf sets of ``s`` and ``t`` at the given depths,
+    the overlap of subtree i of ``s`` with subtree j of ``t`` keyed by (i, j),
+    and each nonempty overlap restricted once in each of its two subtrees.
+    """
+    s_subs = s.pendant_subtrees_at_depth(s_depth)
+    t_subs = t.pendant_subtrees_at_depth(t_depth)
+    s_sets = [sub.leaf_set() for sub in s_subs]
+    t_sets = [sub.leaf_set() for sub in t_subs]
+    blocks = {
+        (i, j): a & b for i, a in enumerate(s_sets) for j, b in enumerate(t_sets)
+    }
+    restricted = {
+        (i, j): (s_subs[i].restrict(block), t_subs[j].restrict(block))
+        for (i, j), block in blocks.items()
+        if block
+    }
+    return s_sets, t_sets, blocks, restricted
+
+
+def _anticaterpillar_record(restricted: dict, pairs: int) -> CheckRecord:
+    """The check that all ``pairs`` subtree pairs restrict to anti-caterpillars."""
+    anti = sum(is_anticaterpillar_pair(a, b) for a, b in restricted.values())
+    return CheckRecord(
+        "anticaterpillar_restrictions",
+        f"all {pairs} restricted pairs are anti-caterpillars",
+        f"{anti}/{pairs} pairs",
+        anti == pairs,
+    )
+
 
 def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
     """Re-check a finished pair from scratch.
@@ -452,24 +463,10 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
     r = 1 << (h2 - h1)
     side = 1 << h1
 
-    s_subs = pair.s.pendant_subtrees_at_depth(h1)
-    t_subs = pair.t.pendant_subtrees_at_depth(h1)
-    s_sets = [sub.leaf_set() for sub in s_subs]
-    t_sets = [sub.leaf_set() for sub in t_subs]
+    # the partition and anti-caterpillar checks both read these restrictions
+    s_sets, t_sets, blocks, restricted = _pendant_blocks(pair.s, pair.t, h1, h1)
 
     checks: list[CheckRecord] = []
-
-    blocks = {
-        (i, j): s_sets[i] & t_sets[j] for i in range(side) for j in range(side)
-    }
-    # each nonempty block is restricted once per side; the partition and
-    # anti-caterpillar checks below both read these restrictions
-    restricted = {
-        (i, j): (s_subs[i].restrict(block), t_subs[j].restrict(block))
-        for (i, j), block in blocks.items()
-        if block
-    }
-
     overlap_sizes = {len(block) for block in blocks.values()}
     checks.append(
         CheckRecord(
@@ -508,15 +505,7 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
         )
     )
 
-    anti_ok = sum(is_anticaterpillar_pair(a, b) for a, b in restricted.values())
-    checks.append(
-        CheckRecord(
-            "anticaterpillar_restrictions",
-            f"all {side * side} restricted pairs are anti-caterpillars",
-            f"{anti_ok}/{side * side} pairs",
-            anti_ok == side * side,
-        )
-    )
+    checks.append(_anticaterpillar_record(restricted, side * side))
 
     result = mast_dp(pair.s, pair.t)
     checks.append(
@@ -575,11 +564,10 @@ def check_upper_bound_lemma(s: Tree, t: Tree, p: int, q: int) -> VerificationRep
     if not shape_ok:
         return bail()
 
-    s_subs = s.pendant_subtrees_at_depth(p.bit_length() - 1)
-    t_subs = t.pendant_subtrees_at_depth(q.bit_length() - 1)
-    s_sets = [sub.leaf_set() for sub in s_subs]
-    t_sets = [sub.leaf_set() for sub in t_subs]
-    overlaps = {len(a & b) for a in s_sets for b in t_sets}
+    _, _, blocks, restricted = _pendant_blocks(
+        s, t, p.bit_length() - 1, q.bit_length() - 1
+    )
+    overlaps = {len(block) for block in blocks.values()}
     overlap_ok = len(overlaps) == 1 and 0 not in overlaps
     checks.append(
         CheckRecord(
@@ -592,23 +580,8 @@ def check_upper_bound_lemma(s: Tree, t: Tree, p: int, q: int) -> VerificationRep
     if not overlap_ok:
         return bail()
 
-    anti_count = sum(
-        is_anticaterpillar_pair(
-            s_subs[i].restrict(s_sets[i] & t_sets[j]),
-            t_subs[j].restrict(s_sets[i] & t_sets[j]),
-        )
-        for i in range(p)
-        for j in range(q)
-    )
-    checks.append(
-        CheckRecord(
-            "anticaterpillar_restrictions",
-            f"all {p * q} restricted pairs are anti-caterpillars",
-            f"{anti_count}/{p * q} pairs",
-            anti_count == p * q,
-        )
-    )
-    if anti_count != p * q:
+    checks.append(_anticaterpillar_record(restricted, p * q))
+    if not checks[-1].passed:
         return bail()
 
     size = mast_dp(s, t).size

@@ -46,6 +46,25 @@ class TestGenerate:
         assert code == 1 and not out
         assert "k=5" in err
 
+    @pytest.mark.parametrize(
+        "c,refusal",
+        [
+            ("inf", "c must be"),
+            ("nan", "c must be"),
+            # subnormal c picks a k the builder refuses as too large
+            ("5e-324", "would need"),
+            ("1e-310", "would need"),
+        ],
+    )
+    def test_non_finite_or_subnormal_c_fails_cleanly(self, tmp_path, capsys, c, refusal):
+        code, out, err = run(
+            capsys, "generate", f"--c={c}",
+            "--out-s", str(tmp_path / "s.nwk"), "--out-t", str(tmp_path / "t.nwk"),
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert refusal in err
+
     def test_huge_k_refusal_writes_the_exponent_symbolically(self, tmp_path, capsys):
         # 2**(2**20001 - 20002) has more digits than int-to-str allows
         code, out, err = run(
@@ -192,6 +211,11 @@ class TestPackBoundsProbe:
         assert payload["count"] == 2
         assert payload["host_height"] == 3
         assert sorted(p for cat in payload["caterpillars"] for p in cat) == list(range(8))
+
+    def test_oversized_pack_refused_before_allocating(self, capsys):
+        code, out, err = run(capsys, "pack", "--n", "40")
+        assert code == 1 and not out
+        assert err.startswith("error: n=40") and err.count("\n") == 1
 
     def test_bounds_value_mode(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "2048")

@@ -1,5 +1,6 @@
 """Packing counts, label grids, the counterexample family, and verifiers."""
 
+import hashlib
 import math
 
 import mpmath
@@ -24,6 +25,7 @@ from mastforge import (
     overlap_instance,
     pack_caterpillars,
     perfect_packing,
+    serialize,
     verify_counterexample,
 )
 
@@ -54,6 +56,22 @@ class TestCountingSequence:
             a_of_n(0)
 
 
+def grid_row(g, i: int) -> set[int]:
+    return {x for j in range(1, (1 << g.h1) + 1) for x in g.block(i, j)}
+
+
+def grid_column(g, j: int) -> set[int]:
+    return {x for i in range(1, (1 << g.h1) + 1) for x in g.block(i, j)}
+
+
+def has_block(g, i: int, j: int) -> bool:
+    try:
+        g.block(i, j)
+    except KeyError:
+        return False
+    return True
+
+
 class TestLabelGrid:
     def test_degenerate(self):
         g = label_grid(0, 0)
@@ -65,24 +83,28 @@ class TestLabelGrid:
         assert g.block(1, 2) == (3, 4)
         assert g.block(2, 1) == (5, 6)
         assert g.block(2, 2) == (7, 8)
-        assert g.row_labels(1) == {1, 2, 3, 4}
-        assert g.column_labels(1) == {1, 2, 5, 6}
+        assert grid_row(g, 1) == {1, 2, 3, 4}
+        assert grid_column(g, 1) == {1, 2, 5, 6}
 
     def test_h1_4_h2_7(self):
         g = label_grid(4, 7)
-        assert len(g.blocks) == 256
+        assert sum(has_block(g, i, j) for i in range(18) for j in range(18)) == 256
         assert g.block_size == 8
         for i in range(1, 17):
             for j in range(1, 17):
-                assert g.row_labels(i) & g.column_labels(j) == set(g.block(i, j))
+                assert grid_row(g, i) & grid_column(g, j) == set(g.block(i, j))
                 assert len(g.block(i, j)) == 8
 
     def test_rows_and_columns_have_2_pow_h2_labels(self):
         for h1, h2 in [(0, 3), (1, 3), (2, 2), (2, 5)]:
             g = label_grid(h1, h2)
-            for i in range(1, (1 << h1) + 1):
-                assert len(g.row_labels(i)) == 1 << h2
-                assert len(g.column_labels(i)) == 1 << h2
+            side = range(1, (1 << h1) + 1)
+            for i in side:
+                assert len(grid_row(g, i)) == 1 << h2
+                assert len(grid_column(g, i)) == 1 << h2
+            # the blocks partition the label universe 1..2**(h1+h2)
+            labels = sorted(x for i in side for j in side for x in g.block(i, j))
+            assert labels == list(range(1, (1 << (h1 + h2)) + 1))
 
     def test_rejects_h1_above_h2(self):
         with pytest.raises(ValueError):
@@ -135,6 +157,12 @@ class TestPacking:
         positions = [p for cat in plan.caterpillars for p in cat]
         assert len(positions) == len(set(positions)) == 1 << (size - 1)
         assert all(len(cat) == size for cat in plan.caterpillars)
+
+    def test_oversized_n_refused(self):
+        from mastforge.construct import MAX_PACK_N
+
+        with pytest.raises(ValueError, match=f"up to n={MAX_PACK_N}"):
+            pack_caterpillars(MAX_PACK_N + 1)
 
     def test_plan_rejects_non_caterpillar_sequence(self):
         from mastforge import PackingPlan
@@ -220,6 +248,26 @@ class TestCounterexample:
         assert report.record("mast_size").observed == 32
         assert report.record("mast_below_sqrt_n").passed
 
+    def test_k2_label_placement_is_pinned(self):
+        pair = build_counterexample(2)
+        assert serialize(pair.s) == (
+            "((((1,2),(3,8)),((5,6),(7,4))),(((9,10),(11,16)),((13,14),(15,12))));"
+        )
+        assert serialize(pair.t) == (
+            "((((4,3),(2,9)),((12,11),(10,1))),(((8,7),(6,13)),((16,15),(14,5))));"
+        )
+
+    def test_k3_label_placement_is_pinned(self):
+        pair = build_counterexample(3)
+        digests = [
+            hashlib.sha256(serialize(tree).encode()).hexdigest()
+            for tree in (pair.s, pair.t)
+        ]
+        assert digests == [
+            "508f8872584aa003de48a1a99074c2814a3e98c4bc77dc1fcad8fe8f28b20a63",
+            "7e939dbccd7d14e0753f894660b5fe7e9c4ef9cc88557732fa8ca0d7b7e6ea56",
+        ]
+
     def test_relabelling_invariance(self):
         pair = build_counterexample(2)
         labels = sorted(pair.s.leaf_set(), key=int)
@@ -293,8 +341,9 @@ class TestChooseK:
             assert k - 1 <= bound or k == 1
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            choose_k_for_c(0.0)
+        for c in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="c must be"):
+                choose_k_for_c(c)
 
 
 class TestUpperBoundLemma:

@@ -5,10 +5,10 @@ Runs are derandomized and use no example database, so every run of the
 suite checks the same examples.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mastforge import Tree, mast_dp, parse, serialize
+from mastforge import Tree, mast_bruteforce, mast_dp, parse, serialize
 
 from conftest import naive_mast_size, relabel, shuffle_children
 
@@ -41,9 +41,17 @@ def nested_trees(draw, labels):
 
 
 ANY_NESTED = nested_trees(st.lists(LABELS, min_size=1, max_size=12, unique=True))
-POOL_TREES = nested_trees(
-    st.lists(st.sampled_from(POOL), min_size=1, max_size=len(POOL), unique=True)
-).map(Tree.from_nested)
+
+
+def trees_over(pool: list[str]):
+    return nested_trees(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True)
+    ).map(Tree.from_nested)
+
+
+POOL_TREES = trees_over(POOL)
+# at most 9 labels, so a pair with a POOL_TREES tree shares at most 9
+SMALL_POOL_TREES = trees_over(POOL[:9])
 
 
 def postorder(nested) -> list:
@@ -106,3 +114,27 @@ class TestMastAlgebra:
     @given(POOL_TREES, POOL_TREES)
     def test_dp_matches_naive_recursion(self, s, t):
         assert mast_dp(s, t).size == naive_mast_size(s, t)
+
+    @PROPERTY_SETTINGS
+    @given(POOL_TREES, POOL_TREES, st.sets(st.sampled_from(POOL)))
+    def test_monotone_under_restriction(self, s, t, keep):
+        s_keep, t_keep = s.leaf_set() & keep, t.leaf_set() & keep
+        assume(s_keep and t_keep)
+        restricted = mast_dp(s.restrict(s_keep), t.restrict(t_keep)).size
+        assert restricted <= mast_dp(s, t).size
+
+    @PROPERTY_SETTINGS
+    @given(POOL_TREES, POOL_TREES)
+    def test_witness_restricts_isomorphically_in_both_trees(self, s, t):
+        result = mast_dp(s, t)
+        assert len(result.witness_labels) == result.size
+        if result.size:
+            s_part = s.restrict(result.witness_labels)
+            t_part = t.restrict(result.witness_labels)
+            assert s_part.is_isomorphic(t_part)
+            assert s_part.is_isomorphic(result.agreement_tree)
+
+    @PROPERTY_SETTINGS
+    @given(SMALL_POOL_TREES, POOL_TREES)
+    def test_dp_matches_brute_force(self, s, t):
+        assert mast_dp(s, t).size == mast_bruteforce(s, t)
