@@ -29,7 +29,7 @@ solver is wrong, so it raises immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -65,14 +65,7 @@ class ProbeResult:
     all_above: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "min_mast": self.min_mast,
-            "bound": self.bound,
-            "all_above": self.all_above,
-        }
+        return asdict(self)
 
 
 def beta_of_delta(delta: float) -> float:
@@ -132,76 +125,44 @@ def maximize_beta(
     return delta_star, beta_star
 
 
-def _certified(margin: float, hi_expr) -> bool:
-    """True iff the 50-digit evaluation agrees with the double-precision
-    margin and clears the slack bound."""
-    with mpmath.workdps(50):
-        hi = float(hi_expr())
-    return abs(hi - margin) < 1e-12 and hi > ARITHMETIC_SLACK
+# One row per exponent-gap margin const + 0.22*log2(threshold) + m*0.025:
+# (record name, const, index into CASE_THRESHOLDS, m, expected text).
+# The thinnest, cases iv/v, is about 6e-4: still 5e8 times the slack.
+_CASE_MARGINS = (
+    ("cases_i_ii_margin", 1, 0, 2, "1 + 0.22*log2(0.037) + 0.05"),
+    ("case_iii_margin", 0, 2, 2, "0.22*log2(0.889) + 0.05"),
+    ("cases_iv_v_margin", 0, 3, 1, "0.22*log2(0.926) + 0.025"),
+)
 
 
 def check_case_certificates() -> VerificationReport:
     """Certify every strict inequality the case split relies on.
 
-    The three exponent-gap margins are reported alongside the 2**-40 slack
-    they must clear; the complement and pigeonhole facts are checked in
-    exact rational arithmetic.
+    Each exponent-gap margin is evaluated in double precision, re-evaluated
+    from the same constants with 50 digits, and reported alongside the
+    2**-40 slack it must clear; the complement and pigeonhole facts are
+    checked in exact rational arithmetic.
     """
     checks: list[CheckRecord] = []
-    log2 = math.log2
-
-    gap_a = 1 + LOG_T_COEFF * log2(CASE_THRESHOLDS[0]) + 2 * HEIGHT_COEFF
-    ok_a = _certified(
-        gap_a,
-        lambda: 1
-        + mpmath.mpf("0.22") * mpmath.log(mpmath.mpf("0.037"), 2)
-        + mpmath.mpf("0.05"),
-    )
-    checks.append(
-        CheckRecord(
-            "cases_i_ii_margin",
-            f"1 + 0.22*log2(0.037) + 0.05 > slack {ARITHMETIC_SLACK:.3e}",
-            gap_a,
-            ok_a,
+    mpf = mpmath.mpf
+    for name, const, index, terms, text in _CASE_MARGINS:
+        threshold = CASE_THRESHOLDS[index]
+        margin = const + LOG_T_COEFF * math.log2(threshold) + terms * HEIGHT_COEFF
+        with mpmath.workdps(50):
+            digits = float(
+                mpf(str(const))
+                + mpf(str(LOG_T_COEFF)) * mpmath.log(mpf(str(threshold)), 2)
+                + terms * mpf(str(HEIGHT_COEFF))
+            )
+        certified = abs(digits - margin) < 1e-12 and digits > ARITHMETIC_SLACK
+        checks.append(
+            CheckRecord(
+                name, f"{text} > slack {ARITHMETIC_SLACK:.3e}", margin, certified
+            )
         )
-    )
 
-    gap_b = LOG_T_COEFF * log2(CASE_THRESHOLDS[2]) + 2 * HEIGHT_COEFF
-    ok_b = _certified(
-        gap_b,
-        lambda: mpmath.mpf("0.22") * mpmath.log(mpmath.mpf("0.889"), 2)
-        + mpmath.mpf("0.05"),
-    )
-    checks.append(
-        CheckRecord(
-            "case_iii_margin",
-            f"0.22*log2(0.889) + 0.05 > slack {ARITHMETIC_SLACK:.3e}",
-            gap_b,
-            ok_b,
-        )
-    )
-
-    # the thin one: about 6e-4, still 5e8 times the slack
-    gap_c = LOG_T_COEFF * log2(CASE_THRESHOLDS[3]) + HEIGHT_COEFF
-    ok_c = _certified(
-        gap_c,
-        lambda: mpmath.mpf("0.22") * mpmath.log(mpmath.mpf("0.926"), 2)
-        + mpmath.mpf("0.025"),
-    )
-    checks.append(
-        CheckRecord(
-            "cases_iv_v_margin",
-            f"0.22*log2(0.926) + 0.025 > slack {ARITHMETIC_SLACK:.3e}",
-            gap_c,
-            ok_c,
-        )
-    )
-
-    threshold = Fraction(37, 1000)
-    complements_ok = (
-        1 - 3 * threshold == Fraction(889, 1000)
-        and 1 - 2 * threshold == Fraction(926, 1000)
-    )
+    low, _, mid, high = (Fraction(str(x)) for x in CASE_THRESHOLDS)
+    complements_ok = 1 - 3 * low == mid and 1 - 2 * low == high
     checks.append(
         CheckRecord(
             "case_exhaustion_complements",

@@ -14,7 +14,6 @@ import sys
 from . import bounds as bounds_mod
 from . import construct, newick
 from .mast import mast_bruteforce, mast_dp
-from .tree import TreeError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,6 +73,8 @@ def _load_tree(path: str):
         raise _InputError(f"parse error in {path}: {exc}") from exc
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_generate(args) -> int:
@@ -119,13 +120,8 @@ def _cmd_verify(args) -> int:
                 f"k={args.k} is too large; pairs are only verified up "
                 f"to k={construct.MAX_BUILDABLE_K}"
             )
-        params = construct.counterexample_parameters(args.k)
         pair = construct.CounterexamplePair(
-            args.k,
-            _load_tree(args.s),
-            _load_tree(args.t),
-            params["expected_mast"],
-            params["n"],
+            args.k, _load_tree(args.s), _load_tree(args.t)
         )
     report = construct.verify_counterexample(pair)
     print(report.to_json())
@@ -187,12 +183,11 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (TreeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        # an internal invariant failed (BoundViolationError, PackingError,
-        # an inconsistent MAST table): a bug, reported without a traceback
+    except (ValueError, RuntimeError, OverflowError) as exc:
+        # a bad input (TreeError is a ValueError, OverflowError a number too
+        # large for a float) or a failed internal invariant (a bug:
+        # BoundViolationError, PackingError, an inconsistent MAST table),
+        # each reported as one line without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

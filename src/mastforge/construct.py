@@ -165,17 +165,13 @@ def pack_caterpillars(n: int) -> PackingPlan:
 
 def perfect_packing(k: int) -> PackingPlan:
     """The perfect case: 2**(2**k - k - 1) caterpillars of size 2**k cover
-    every leaf of the balanced shape of height 2**k - 1.
+    every leaf of the balanced shape of height 2**k - 1.  This is the one
+    tile of ``_tiled_packing(2**k - 1, k)``: ``pack_caterpillars`` checks the
+    count against ``a_of_n`` and the plan rejects any non-partition.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    plan = pack_caterpillars(1 << k)
-    expected = 1 << ((1 << k) - k - 1)
-    if plan.count != expected or plan.count * (1 << k) != 1 << ((1 << k) - 1):
-        raise PackingError("caterpillar count does not match the closed form")
-    if plan.unused_positions:
-        raise PackingError("packing is not perfect")
-    return plan
+    return _tiled_packing((1 << k) - 1, k)
 
 
 def _tiled_packing(height: int, cat_exponent: int) -> PackingPlan:
@@ -295,19 +291,24 @@ def counterexample_parameters(k: int) -> dict:
 @dataclass(frozen=True)
 class CounterexamplePair:
     """A pair of balanced trees on the same n = 2**(2**(k+1)-k-2) labels
-    whose MAST size is exactly 2**(2**k - k).
+    whose MAST size is exactly 2**(2**k - k).  Both ``n`` and
+    ``expected_mast`` are functions of k, read from
+    ``counterexample_parameters``; the trees must have n leaves each.
     """
 
     k: int
     s: Tree
     t: Tree
-    expected_mast: int
-    n: int
+
+    @property
+    def n(self) -> int:
+        return counterexample_parameters(self.k)["n"]
+
+    @property
+    def expected_mast(self) -> int:
+        return counterexample_parameters(self.k)["expected_mast"]
 
     def __post_init__(self):
-        params = counterexample_parameters(self.k)
-        if self.n != params["n"] or self.expected_mast != params["expected_mast"]:
-            raise ValueError(f"parameters do not match k={self.k}: {params}")
         for name, tree in (("s", self.s), ("t", self.t)):
             if tree.size != self.n:
                 raise TreeError(f"tree {name} has {tree.size} leaves, expected {self.n}")
@@ -320,14 +321,10 @@ class CounterexamplePair:
 def build_counterexample(k: int) -> CounterexamplePair:
     """Construct the pair for parameter k (trees materialized up to k=3).
 
-    Both sides are balanced shapes of height h1+h2 whose 2**h1 depth-h1
-    pendant subtrees are filled from one shared perfect packing: subtree i
-    of the first tree writes block (i, j) into the j-th caterpillar in
-    forward order, subtree j of the second writes block (i, j) into the
-    i-th caterpillar reversed.
+    This is the grid pair ``build_overlap_pair(h1, h2)`` at h2 = 2**k - 1
+    and h2 - h1 = k, where each depth-h1 pendant subtree is packed perfectly
+    by the caterpillars of ``perfect_packing(k)``.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
     if k > MAX_BUILDABLE_K:
         raise ValueError(
             f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree; "
@@ -335,26 +332,25 @@ def build_counterexample(k: int) -> CounterexamplePair:
             "(use counterexample_parameters for the closed forms)"
         )
     params = counterexample_parameters(k)
-    h1, h2 = params["h1"], params["h2"]
-    grid = label_grid(h1, h2)
-    cats = perfect_packing(k).caterpillars
-    s, t = _fill_grid_pair(grid, cats)
-    return CounterexamplePair(k, s, t, params["expected_mast"], params["n"])
+    s, t = build_overlap_pair(params["h1"], params["h2"])
+    return CounterexamplePair(k, s, t)
 
 
-def _fill_grid_pair(
-    grid: LabelGrid, cats: tuple[tuple[int, ...], ...]
-) -> tuple[Tree, Tree]:
-    """Label two balanced shapes from a grid and one per-subtree packing.
+def build_overlap_pair(h1: int, h2: int) -> tuple[Tree, Tree]:
+    """General grid pair: two balanced trees of height h1+h2 whose depth-h1
+    pendant subtrees pairwise share exactly one 2**(h2-h1)-label block
+    restricting to anti-caterpillars.  Needs 2**(h2-h1) <= h2 + 1 so the
+    caterpillars fit each subtree.
 
-    Subtree i of the first tree writes block (i, j) into caterpillar j in
-    forward order; subtree j of the second writes block (i, j) into
-    caterpillar i reversed, so each restricted pair is anti-caterpillars.
+    Each subtree is tiled perfectly by 2**(h2-h1)-caterpillars, so it holds
+    exactly 2**h1 of them, one per block of its row.  Subtree i of the
+    first tree writes block (i, j) into caterpillar j in forward order;
+    subtree j of the second writes block (i, j) into caterpillar i reversed.
     """
-    side = 1 << grid.h1
-    if len(cats) != side:
-        raise PackingError(f"expected {side} caterpillars per subtree, got {len(cats)}")
-    subtree_leaves = 1 << grid.h2
+    grid = label_grid(h1, h2)
+    cats = _tiled_packing(h2, h2 - h1).caterpillars
+    side = 1 << h1
+    subtree_leaves = 1 << h2
     s_labels: list[str] = []
     t_labels: list[str] = []
     for a in range(1, side + 1):
@@ -366,19 +362,7 @@ def _fill_grid_pair(
                 t_slot[pos] = str(t_lab)
         s_labels.extend(s_slot)
         t_labels.extend(t_slot)
-    height = grid.h1 + grid.h2
-    return make_balanced(height, s_labels), make_balanced(height, t_labels)
-
-
-def build_overlap_pair(h1: int, h2: int) -> tuple[Tree, Tree]:
-    """General grid pair: two balanced trees of height h1+h2 whose depth-h1
-    pendant subtrees pairwise share exactly one 2**(h2-h1)-label block
-    restricting to anti-caterpillars.  Needs 2**(h2-h1) <= h2 + 1 so the
-    caterpillars fit each subtree.
-    """
-    grid = label_grid(h1, h2)
-    cats = _tiled_packing(h2, h2 - h1).caterpillars
-    return _fill_grid_pair(grid, cats)
+    return make_balanced(h1 + h2, s_labels), make_balanced(h1 + h2, t_labels)
 
 
 def overlap_instance(h1: int, h2: int, p: int, q: int) -> tuple[Tree, Tree]:

@@ -46,5 +46,5 @@ class VerificationReport:
     def as_dict(self) -> dict:
         return {"pass": self.passed, "checks": [rec.as_dict() for rec in self.checks]}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)

@@ -92,6 +92,25 @@ class TestCaseCertificates:
         assert thin == pytest.approx(6e-4, abs=1e-4)
         assert thin > 5e8 * ARITHMETIC_SLACK
 
+    def test_report_is_pinned(self):
+        report = check_case_certificates()
+        slack = f" > slack {ARITHMETIC_SLACK:.3e}"
+        assert [(rec.check, rec.expected, rec.passed) for rec in report.checks] == [
+            ("cases_i_ii_margin", "1 + 0.22*log2(0.037) + 0.05" + slack, True),
+            ("case_iii_margin", "0.22*log2(0.889) + 0.05" + slack, True),
+            ("cases_iv_v_margin", "0.22*log2(0.926) + 0.025" + slack, True),
+            (
+                "case_exhaustion_complements",
+                "1 - 3*0.037 = 0.889 and 1 - 2*0.037 = 0.926 exactly",
+                True,
+            ),
+            (
+                "pigeonhole_quarter",
+                "largest of four overlap parts is at least t/4",
+                True,
+            ),
+        ]
+
     def test_exact_complements(self):
         report = check_case_certificates()
         assert report.record("case_exhaustion_complements").passed

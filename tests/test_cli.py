@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mastforge import parse
+from mastforge import make_caterpillar, parse, serialize
 from mastforge.cli import main
 
 from conftest import DATA_DIR
@@ -144,6 +144,13 @@ class TestMast:
         assert code == 1 and not out
         assert "bad.nwk" in err and "position" in err
 
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.nwk"
+        path.write_bytes(b"\xff\xfe(a,b);")
+        code, out, err = run(capsys, "mast", str(path), str(path))
+        assert code == 1 and not out
+        assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+
     def test_missing_file(self, tmp_path, capsys):
         good = tmp_path / "good.nwk"
         good.write_text("(a,b);\n")
@@ -224,6 +231,12 @@ class TestPackBoundsProbe:
         assert payload["floor"] == pytest.approx(2 ** 1.87, rel=1e-12)
         assert payload["sixth_root"] == pytest.approx(2048 ** (1 / 6), rel=1e-12)
 
+    def test_oversized_bounds_n_is_one_line(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "1" + "0" * 400)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_bounds_certify(self, capsys):
         code, out, _ = run(capsys, "bounds", "--certify")
         assert code == 0
@@ -272,3 +285,32 @@ class TestPackBoundsProbe:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code != 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "0"],
+        ["bounds", "--n", str(10 ** 400)],
+        ["probe", "--m", "0", "--trials", "1"],
+        ["pack", "--n", "-1"],
+        ["generate", "--k", "0", "--out-s", "{dir}/s.nwk", "--out-t", "{dir}/t.nwk"],
+        ["verify", "--k", "0"],
+        ["mast", "{dir}/non_utf8.nwk", "{dir}/non_utf8.nwk"],
+        ["mast", "--brute", "{dir}/wide.nwk", "{dir}/wide.nwk"],
+    ],
+    ids=[
+        "bounds-n-zero", "bounds-n-huge", "probe-m-zero", "pack-negative",
+        "generate-k-zero", "verify-k-zero", "mast-non-utf8", "mast-brute-17",
+    ],
+)
+def test_error_contract(tmp_path, capsys, argv):
+    # every failure: exit 1, nothing on stdout, one stderr line, no traceback
+    (tmp_path / "non_utf8.nwk").write_bytes(b"\xff\xfe(a,b);")
+    # 17 common labels: one more than the subset oracle accepts
+    labels = [str(i) for i in range(17)]
+    (tmp_path / "wide.nwk").write_text(serialize(make_caterpillar(labels)) + "\n")
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 1 and not out
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

@@ -158,6 +158,10 @@ class TestPacking:
         assert len(positions) == len(set(positions)) == 1 << (size - 1)
         assert all(len(cat) == size for cat in plan.caterpillars)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_perfect_packing_is_the_packing_of_size_2_to_the_k(self, k):
+        assert perfect_packing(k).caterpillars == pack_caterpillars(1 << k).caterpillars
+
     def test_oversized_n_refused(self):
         from mastforge.construct import MAX_PACK_N
 
@@ -211,6 +215,19 @@ class TestCounterexample:
         }
         assert counterexample_parameters(3)["n"] == 2048
         assert counterexample_parameters(3)["expected_mast"] == 32
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pair_sizes_are_the_closed_forms(self, k):
+        pair = build_counterexample(k)
+        params = counterexample_parameters(k)
+        assert (pair.n, pair.expected_mast) == (params["n"], params["expected_mast"])
+
+    def test_pair_refuses_trees_of_the_wrong_size_for_k(self):
+        from mastforge import CounterexamplePair
+
+        small = build_counterexample(2)
+        with pytest.raises(TreeError, match="2048"):
+            CounterexamplePair(3, small.s, small.t)
 
     def test_k1_pair_of_cherries(self):
         pair = build_counterexample(1)
@@ -300,9 +317,7 @@ class TestCounterexample:
         # swap two labels inside the first tree only
         mapping = {lab: lab for lab in pair.s.leaf_set()}
         mapping["1"], mapping["5"] = "5", "1"
-        corrupted = CounterexamplePair(
-            pair.k, relabel(pair.s, mapping), pair.t, pair.expected_mast, pair.n
-        )
+        corrupted = CounterexamplePair(pair.k, relabel(pair.s, mapping), pair.t)
         report = verify_counterexample(corrupted)
         assert not report.passed
         assert any(not rec.passed for rec in report.checks), "at least one check must fail"
