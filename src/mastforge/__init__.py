@@ -28,7 +28,6 @@ from .construct import (
     choose_k_for_c,
     counterexample_parameters,
     is_anticaterpillar_pair,
-    label_grid,
     make_anticaterpillar_pair,
     overlap_instance,
     pack_caterpillars,
@@ -65,7 +64,6 @@ __all__ = [
     "counterexample_parameters",
     "empirical_probe",
     "is_anticaterpillar_pair",
-    "label_grid",
     "lower_bound",
     "make_anticaterpillar_pair",
     "make_balanced",

@@ -11,7 +11,7 @@ and splits on how the t common labels distribute over the four pendant
 subtree pairs, with case thresholds 0.037, 0.25, 0.889 and 0.926 of t.
 Each case closes because a specific linear combination of those constants
 is strictly positive; `check_case_certificates` evaluates every such margin
-in double precision, cross-checks it with 50-digit arithmetic, and demands
+in double precision, cross-checks it in 50-digit ``decimal``, and demands
 it exceed an interval-style slack of 2**-40 so no inequality rests on a
 rounding artifact.  The thinnest margin (0.22 * log2(0.926) + 0.025, about
 6e-4) is five hundred million times the slack.
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .mast import mast_size_matrix
@@ -95,9 +95,10 @@ def maximize_beta(
     if not 0 < lo < hi < DELTA_MAX:
         raise ValueError(f"bracket [{lo}, {hi}] must lie inside (0, {DELTA_MAX})")
 
-    grid = np.linspace(lo, hi, 1000)
+    step = (hi - lo) / 999
+    grid = [lo + i * step for i in range(999)] + [hi]
     values = [beta_of_delta(x) for x in grid]
-    peak = int(np.argmax(values))
+    peak = values.index(max(values))
     rising = all(values[i + 1] >= values[i] - 1e-12 for i in range(peak))
     falling = all(values[i + 1] <= values[i] + 1e-12 for i in range(peak, len(values) - 1))
     if not (rising and falling):
@@ -125,9 +126,9 @@ def maximize_beta(
     return delta_star, beta_star
 
 
-# One row per exponent-gap margin const + 0.22*log2(threshold) + m*0.025:
-# (record name, const, index into CASE_THRESHOLDS, m, expected text).
-# The thinnest, cases iv/v, is about 6e-4: still 5e8 times the slack.
+# One row per margin const + 0.22*log2(threshold) + m*0.025, checked in
+# double and 50-digit ``decimal``: (record name, const, index into
+# CASE_THRESHOLDS, m, expected text).  The thinnest, cases iv/v, is about 6e-4.
 _CASE_MARGINS = (
     ("cases_i_ii_margin", 1, 0, 2, "1 + 0.22*log2(0.037) + 0.05"),
     ("case_iii_margin", 0, 2, 2, "0.22*log2(0.889) + 0.05"),
@@ -144,15 +145,16 @@ def check_case_certificates() -> VerificationReport:
     checked in exact rational arithmetic.
     """
     checks: list[CheckRecord] = []
-    mpf = mpmath.mpf
     for name, const, index, terms, text in _CASE_MARGINS:
         threshold = CASE_THRESHOLDS[index]
         margin = const + LOG_T_COEFF * math.log2(threshold) + terms * HEIGHT_COEFF
-        with mpmath.workdps(50):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            log2_t = Decimal(str(threshold)).ln() / Decimal(2).ln()
             digits = float(
-                mpf(str(const))
-                + mpf(str(LOG_T_COEFF)) * mpmath.log(mpf(str(threshold)), 2)
-                + terms * mpf(str(HEIGHT_COEFF))
+                Decimal(str(const))
+                + Decimal(str(LOG_T_COEFF)) * log2_t
+                + terms * Decimal(str(HEIGHT_COEFF))
             )
         certified = abs(digits - margin) < 1e-12 and digits > ARITHMETIC_SLACK
         checks.append(

@@ -9,7 +9,7 @@ The machinery, bottom up:
   recursing into the two halves and extending each (n-1)-caterpillar with an
   unused leaf position of the opposite half.  When n-1 is a power of two the
   count stalls and only half of each side's caterpillars are extended.
-* ``label_grid``: partitions {1..2**(h1+h2)} into 2**(2*h1) consecutive
+* ``LabelGrid``: partitions {1..2**(h1+h2)} into 2**(2*h1) consecutive
   blocks arranged in a square grid so that row unions and column unions meet
   in exactly one block.
 * ``build_counterexample``: writes grid blocks into the packed caterpillar
@@ -227,11 +227,6 @@ class LabelGrid:
         return tuple(range((r - 1) * self.block_size + 1, r * self.block_size + 1))
 
 
-def label_grid(h1: int, h2: int) -> LabelGrid:
-    """Build the grid of consecutive blocks for heights h1 <= h2."""
-    return LabelGrid(h1, h2)
-
-
 # ----------------------------------------------------------------------
 # anti-caterpillars
 # ----------------------------------------------------------------------
@@ -347,7 +342,7 @@ def build_overlap_pair(h1: int, h2: int) -> tuple[Tree, Tree]:
     first tree writes block (i, j) into caterpillar j in forward order;
     subtree j of the second writes block (i, j) into caterpillar i reversed.
     """
-    grid = label_grid(h1, h2)
+    grid = LabelGrid(h1, h2)
     cats = _tiled_packing(h2, h2 - h1).caterpillars
     side = 1 << h1
     subtree_leaves = 1 << h2

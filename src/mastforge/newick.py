@@ -125,9 +125,11 @@ def serialize(tree: Tree) -> str:
     """Emit the tree in the grammar above: no whitespace, children in stored
     order, terminated by ';'.
     """
-    vals: list[str] = []
+    vals: list[str | None] = []
     for a, b, lab in zip(tree.left, tree.right, tree.label):  # postorder
         vals.append(lab if a < 0 else f"({vals[a]},{vals[b]})")
+        if a >= 0:  # only the parent reads a child's string: free it
+            vals[a] = vals[b] = None
     return vals[tree.root] + ";"
 
 

@@ -231,15 +231,16 @@ class Tree:
         sorted lexicographically, parenthesised and comma-separated.
         """
         if self._canonical is None:
-            vals: list[str] = []
+            vals: list[str | None] = []
             for a, b, lab in zip(self.left, self.right, self.label):
                 if a < 0:
                     vals.append(lab)
-                else:
+                else:  # only the parent reads a child's form: free it
                     x, y = vals[a], vals[b]
                     if y < x:
                         x, y = y, x
                     vals.append(f"({x},{y})")
+                    vals[a] = vals[b] = None
             self._canonical = vals[self.root]
         return self._canonical
 

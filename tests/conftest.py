@@ -10,6 +10,7 @@ arithmetic `PackingPlan` validates itself with.
 """
 
 import random
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,16 @@ def golden_s() -> Tree:
 @pytest.fixture(scope="session")
 def golden_t() -> Tree:
     return parse((DATA_DIR / "balanced2048_t.nwk").read_text())
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates above what is live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """CLI behavior: JSON on stdout, diagnostics on stderr, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mastforge
 from mastforge import make_caterpillar, parse, serialize
 from mastforge.cli import main
 
@@ -243,6 +248,50 @@ class TestPackBoundsProbe:
         payload = json.loads(out)
         assert payload["certificates"]["pass"] is True
         assert abs(payload["beta"]["beta"] - 0.149) <= 0.001
+
+    def test_bounds_certify_output_is_pinned(self, capsys):
+        # the beta scan and the 50-digit margin check must not move a bit
+        code, out, err = run(capsys, "bounds", "--certify")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"beta": {"delta": 0.0247965332755737, '
+            '"beta": 0.14877920093805733}, "certificates": {"pass": true, '
+            '"checks": [{"check": "cases_i_ii_margin", '
+            '"expected": "1 + 0.22*log2(0.037) + 0.05 > slack 9.095e-13", '
+            '"observed": 0.003607197812709642, "pass": true}, '
+            '{"check": "case_iii_margin", '
+            '"expected": "0.22*log2(0.889) + 0.05 > slack 9.095e-13", '
+            '"observed": 0.012656171316890251, "pass": true}, '
+            '{"check": "cases_iv_v_margin", '
+            '"expected": "0.22*log2(0.926) + 0.025 > slack 9.095e-13", '
+            '"observed": 0.0005985016915928711, "pass": true}, '
+            '{"check": "case_exhaustion_complements", '
+            '"expected": "1 - 3*0.037 = 0.889 and 1 - 2*0.037 = 0.926 exactly", '
+            '"observed": true, "pass": true}, '
+            '{"check": "pigeonhole_quarter", '
+            '"expected": "largest of four overlap parts is at least t/4", '
+            '"observed": true, "pass": true}]}}'
+            "\n"
+        )
+
+    def test_runtime_needs_no_mpmath(self):
+        # mpmath is a test-only oracle: importing the CLI must not load it,
+        # and the bounds commands must run with it blocked
+        script = (
+            "import sys\n"
+            "from mastforge.cli import main\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "sys.modules['mpmath'] = None\n"
+            "assert main(['bounds', '--certify']) == 0\n"
+            "assert main(['bounds', '--n', '1000']) == 0\n"
+        )
+        src = str(Path(mastforge.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 2
 
     def test_probe(self, capsys):
         code, out, _ = run(capsys, "probe", "--m", "3", "--trials", "5", "--seed", "11")

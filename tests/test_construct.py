@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from mastforge import (
+    LabelGrid,
     PackingError,
     Tree,
     TreeError,
@@ -17,7 +18,6 @@ from mastforge import (
     choose_k_for_c,
     counterexample_parameters,
     is_anticaterpillar_pair,
-    label_grid,
     make_anticaterpillar_pair,
     make_balanced,
     make_caterpillar,
@@ -74,11 +74,11 @@ def has_block(g, i: int, j: int) -> bool:
 
 class TestLabelGrid:
     def test_degenerate(self):
-        g = label_grid(0, 0)
+        g = LabelGrid(0, 0)
         assert g.block(1, 1) == (1,)
 
     def test_h1_1_h2_2(self):
-        g = label_grid(1, 2)
+        g = LabelGrid(1, 2)
         assert g.block(1, 1) == (1, 2)
         assert g.block(1, 2) == (3, 4)
         assert g.block(2, 1) == (5, 6)
@@ -87,7 +87,7 @@ class TestLabelGrid:
         assert grid_column(g, 1) == {1, 2, 5, 6}
 
     def test_h1_4_h2_7(self):
-        g = label_grid(4, 7)
+        g = LabelGrid(4, 7)
         assert sum(has_block(g, i, j) for i in range(18) for j in range(18)) == 256
         assert g.block_size == 8
         for i in range(1, 17):
@@ -97,7 +97,7 @@ class TestLabelGrid:
 
     def test_rows_and_columns_have_2_pow_h2_labels(self):
         for h1, h2 in [(0, 3), (1, 3), (2, 2), (2, 5)]:
-            g = label_grid(h1, h2)
+            g = LabelGrid(h1, h2)
             side = range(1, (1 << h1) + 1)
             for i in side:
                 assert len(grid_row(g, i)) == 1 << h2
@@ -108,7 +108,7 @@ class TestLabelGrid:
 
     def test_rejects_h1_above_h2(self):
         with pytest.raises(ValueError):
-            label_grid(3, 2)
+            LabelGrid(3, 2)
 
 
 def positional_host(height: int) -> Tree:

@@ -6,7 +6,7 @@ import pytest
 
 from mastforge import NewickError, make_caterpillar, parse, serialize
 
-from conftest import random_tree
+from conftest import random_tree, traced_peak
 
 
 class TestParse:
@@ -86,6 +86,12 @@ class TestDeepTrees:
         t = make_caterpillar([f"x{i}" for i in range(2000)])
         text = serialize(t)
         assert parse(text).is_isomorphic(t)
+
+    def test_serialize_memory_is_linear_in_depth(self):
+        # each subtree's text must be dropped once its parent has joined
+        # it, or the peak grows with the square of the depth
+        t = make_caterpillar([f"x{i}" for i in range(4000)])
+        assert traced_peak(lambda: serialize(t)) < 5_000_000
 
 
 class TestGoldenPair:

@@ -16,6 +16,7 @@ from conftest import (
     random_tree,
     relabel,
     shuffle_children,
+    traced_peak,
 )
 
 
@@ -155,6 +156,12 @@ class TestCanonicalForm:
 
     def test_self_isomorphism(self, packed8):
         assert packed8.is_isomorphic(packed8)
+
+    def test_memory_is_linear_in_depth(self):
+        # each child form must be dropped once its parent has joined it, or
+        # the peak grows with the square of the depth
+        t = make_caterpillar([f"x{i}" for i in range(4000)])
+        assert traced_peak(t.canonical_form) < 5_000_000
 
 
 class TestCaterpillarOrder:
