@@ -33,8 +33,6 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
-
 from .mast import mast_size_matrix
 from .report import CheckRecord, VerificationReport
 from .tree import make_balanced
@@ -214,6 +212,7 @@ def sixth_root(n: int) -> float:
 
 
 def _probe_trial(m: int, seed: int, trial: int) -> int:
+    import numpy as np
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
     n = 1 << m
     labels_s = [str(x) for x in rng.permutation(n) + 1]

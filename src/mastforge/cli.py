@@ -179,7 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except _InputError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -190,8 +192,11 @@ def main(argv: list[str] | None = None) -> int:
         # each reported as one line without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"cannot read or write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a failed write: failed reads are reported above
+        if exc.filename is None:  # stdout, which exit must not flush again
+            sys.stdout = None
+        print(f"cannot write {exc.filename or 'standard output'}: {exc.strerror}",
+              file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory; the inputs are too large for this machine",

@@ -14,6 +14,11 @@ O(|S| * |T|) table, and reconstructs one witness label set by backtracking.
 `mast_bruteforce` is a deliberately independent oracle that enumerates label
 subsets and compares restrictions, usable only for small intersections.
 
+A row of the table (a node of S) is filled over all of T at once.  Its
+maxima over subtrees of T, each the postorder id range first(w)..w, come from
+one sparse table (Bender & Farach-Colton, LATIN 2000): O(|T| log |T|) work
+in O(log |T|) numpy calls per row, whatever the shape of T.
+
 Witnesses are not unique; ties are broken in the fixed order the terms are
 listed above, so repeated runs return identical witnesses.
 """
@@ -22,8 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .tree import Tree
 
@@ -51,55 +54,45 @@ def mast_size_matrix(s: Tree, t: Tree) -> np.ndarray:
     roots are ``s.root`` and ``t.root``) is the MAST size of the subtree of
     ``s`` at ``u`` versus the subtree of ``t`` at ``v``.
     """
-    matrix = np.zeros((len(s.label), len(t.label)), dtype=np.int32)
+    import numpy as np
+    n = len(t.label)
+    matrix = np.zeros((len(s.label), n), dtype=np.int32)
 
     # T-side geometry, used to evaluate every row in vectorized form.
     t_left = np.asarray(t.left, dtype=np.int64)
-    t_right = np.asarray(t.right, dtype=np.int64)
-    t_height = np.asarray(t.heights, dtype=np.int64)
     internal = np.flatnonzero(t_left >= 0)
     left = t_left[internal]
-    right = t_right[internal]
-    t_parent = np.full(len(t.label), -1, dtype=np.int64)
-    t_parent[left] = internal
-    t_parent[right] = internal
+    right = np.asarray(t.right, dtype=np.int64)[internal]
+    first = []  # the leftmost leaf under each node: its subtree is first..w
+    for w, a in enumerate(t.left):
+        first.append(w if a < 0 else first[a])
+    first = np.asarray(first, dtype=np.int64)
+    # first..w is the union of the 2**j-wide windows at first and ending at w
+    width = np.arange(1, n + 1) - first
+    j = np.frexp(width)[1].astype(np.int64) - 1
+    lo = j * n + first
+    hi = lo + width - (1 << j)
+    windows = np.zeros((n.bit_length(), n), dtype=np.int32)
+    own = windows[0]
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
-
-    # internal nodes grouped by height: within one group the subtree-max
-    # updates are independent, and all children live in lower groups
-    levels = []
-    for h in range(1, t.height + 1):
-        mask = t_height[internal] == h
-        if mask.any():
-            levels.append((internal[mask], left[mask], right[mask]))
 
     # postorder: child rows exist before parent rows
     for u, (a, b, lab) in enumerate(zip(s.left, s.right, s.label)):
         row = matrix[u]
         if a < 0:
-            v = t_leaf_at.get(lab)
-            if v is not None:
-                row[v] = 1
-                p = t_parent[v]
-                while p >= 0:  # a single common leaf contributes 1 everywhere above
-                    row[p] = 1
-                    p = t_parent[p]
+            v = t_leaf_at.get(lab, n)  # n: no common leaf, an empty range
+            row[v:][first[v:] <= v] = 1  # 1 at v and every node above it
             continue
-        row_a = matrix[a]
-        row_b = matrix[b]
-        np.maximum(row_a, row_b, out=row)  # terms (S_L, T) and (S_R, T)
-        if internal.size:
-            # terms LL+RR and LR+RL at every internal node of T
-            paired = np.maximum(
-                row_a[left] + row_b[right], row_a[right] + row_b[left]
-            )
-            np.maximum(row[internal], paired, out=paired)
-            row[internal] = paired
-            # terms (S, T_L) and (S, T_R): max over the subtree below each node
-            for ids, lf, rg in levels:
-                scratch = paired[: len(ids)]
-                np.maximum(row[ids], np.maximum(row[lf], row[rg]), out=scratch)
-                row[ids] = scratch
+        row_a, row_b = matrix[a], matrix[b]
+        np.maximum(row_a, row_b, out=own)  # terms (S_L, T) and (S_R, T)
+        # terms LL+RR and LR+RL at every internal node of T
+        paired = np.maximum(row_a[left] + row_b[right], row_a[right] + row_b[left])
+        own[internal] = np.maximum(own[internal], paired)
+        # terms (S, T_L) and (S, T_R): window i at x is max(own[x : x + 2**i])
+        for i in range(1, len(windows)):
+            prev, half = windows[i - 1], 1 << (i - 1)
+            np.maximum(prev[:-half], prev[half:], out=windows[i, :-half])
+        np.maximum(windows.take(lo), windows.take(hi), out=row)
     return matrix
 
 

@@ -8,8 +8,8 @@ serialization) but carries no meaning: all comparisons go through the
 canonical form, which treats children as unordered.
 
 A tree is stored as parallel tuples indexed by postorder node id (children
-``left``/``right``, leaf ``label``, subtree ``heights``); every operation
-below is a fold over those ids or a walk along the child links.
+``left``/``right``, leaf ``label``); every operation below is a fold over
+those ids or a walk along the child links.
 
 Supported operations are the ones needed for agreement-subtree work:
 restriction to a leaf subset (suppressing degree-two vertices), isomorphism
@@ -58,17 +58,16 @@ class Tree:
     For each id ``v``:
 
     * ``left[v]`` and ``right[v]`` are the children, ``-1`` at a leaf;
-    * ``label[v]`` is the leaf label, ``None`` at an internal node;
-    * ``heights[v]`` is the height of the subtree at ``v``.
+    * ``label[v]`` is the leaf label, ``None`` at an internal node.
 
     :meth:`from_nested` is the only builder and the only validator; the
-    constructor trusts the tuples it is given.  Instances are never mutated
-    afterwards, so they are safe to share between threads and to use as
-    cache keys (by identity).
+    constructor trusts the tuples and the ``height`` it is given.  Instances
+    are never mutated afterwards, so they are safe to share between threads
+    and to use as cache keys (by identity).
     """
 
     __slots__ = (
-        "left", "right", "label", "heights", "root", "size", "height",
+        "left", "right", "label", "root", "size", "height",
         "_leaf_set", "_canonical",
     )
 
@@ -77,15 +76,14 @@ class Tree:
         left: tuple[int, ...],
         right: tuple[int, ...],
         label: tuple[str | None, ...],
-        heights: tuple[int, ...],
+        height: int,
     ):
         self.left = left
         self.right = right
         self.label = label
-        self.heights = heights
         self.root = len(label) - 1
         self.size = (len(label) + 1) // 2
-        self.height = heights[-1]
+        self.height = height
         self._leaf_set: frozenset[str] | None = None
         self._canonical: str | None = None
 
@@ -136,7 +134,7 @@ class Tree:
                 stack.append((item, True))
                 stack.append((item[1], False))
                 stack.append((item[0], False))
-        return cls(tuple(left), tuple(right), tuple(label), tuple(heights))
+        return cls(tuple(left), tuple(right), tuple(label), heights[-1])
 
     # ------------------------------------------------------------------
     # basic queries

@@ -140,8 +140,9 @@ def displayed_triple(tree: Tree, a: str, b: str, c: str) -> str:
     return tree.restrict({a, b, c}).canonical_form()
 
 
-def naive_mast_size(s: Tree, t: Tree) -> int:
-    """Reference MAST size: memoized recursion written directly from the
+def naive_mast_table(s: Tree, t: Tree) -> list[list[int]]:
+    """Reference MAST size of every node pair, ``[u][v]`` as in
+    ``mast_size_matrix``: memoized recursion written directly from the
     recurrence, sharing no code with the vectorized solver."""
     from functools import cache
 
@@ -164,7 +165,14 @@ def naive_mast_size(s: Tree, t: Tree) -> int:
             go(b, v),
         )
 
-    return go(s.root, t.root)
+    # postorder rows and columns: each cell's terms are already cached, so
+    # the recursion stays shallow on deep trees
+    return [[go(u, v) for v in range(len(t.label))] for u in range(len(s.label))]
+
+
+def naive_mast_size(s: Tree, t: Tree) -> int:
+    """Reference MAST size: the root cell of :func:`naive_mast_table`."""
+    return naive_mast_table(s, t)[s.root][t.root]
 
 
 @dataclass(frozen=True)

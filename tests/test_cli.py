@@ -1,5 +1,6 @@
 """CLI behavior: JSON on stdout, diagnostics on stderr, exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -293,6 +294,24 @@ class TestPackBoundsProbe:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("\n") == 2
 
+    def test_light_commands_do_not_import_numpy(self):
+        # numpy loads only where a table is filled: mast, verify and probe
+        script = (
+            "import sys\n"
+            "import mastforge.cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert mastforge.cli.main(['bounds', '--certify']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'bounds'\n"
+            "assert mastforge.cli.main(['pack', '--n', '10']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'pack'\n"
+        )
+        src = str(Path(mastforge.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_probe(self, capsys):
         code, out, _ = run(capsys, "probe", "--m", "3", "--trials", "5", "--seed", "11")
         assert code == 0
@@ -334,6 +353,36 @@ class TestPackBoundsProbe:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code != 0
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+
+class TestWriteErrors:
+    # a failed write or close raises an OSError that carries no file name;
+    # the diagnostic names the output instead
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_output_file_is_named(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "generate", "--k", "1",
+            "--out-s", "/dev/full", "--out-t", str(tmp_path / "t.nwk"),
+        )
+        assert code == 1 and not out
+        assert err.startswith("cannot write /dev/full: ") and err.count("\n") == 1
+
+    def test_closed_stdout_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code, _, err = run(capsys, "pack", "--n", "10")
+        assert code == 1
+        assert err == f"cannot write standard output: {os.strerror(errno.EPIPE)}\n"
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from mastforge import (
+    Tree,
     make_anticaterpillar_pair,
     make_balanced,
     make_caterpillar,
@@ -17,6 +19,7 @@ from mastforge import (
 from conftest import (
     displayed_triple,
     naive_mast_size,
+    naive_mast_table,
     random_overlapping_pair,
     random_tree,
 )
@@ -173,6 +176,73 @@ class TestSizeMatrix:
                 continue
             assert (matrix[u] >= matrix[a]).all()
             assert (matrix[u] >= matrix[b]).all()
+
+
+def assert_table_matches_oracle(s, t):
+    assert mast_size_matrix(s, t).tolist() == naive_mast_table(s, t)
+
+
+def c_calls(fn) -> int:
+    """Calls into C functions and methods that ``fn()`` makes."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+class TestSizeTableCells:
+    def test_one_leaf_tree_on_either_side(self):
+        s = random_tree(random.Random(40), ["a", "b", "c", "d", "e"])
+        for label in ("c", "z"):
+            assert_table_matches_oracle(s, Tree.from_nested(label))
+            assert_table_matches_oracle(Tree.from_nested(label), s)
+
+    def test_one_leaf_each(self):
+        for label in ("a", "z"):
+            assert_table_matches_oracle(Tree.from_nested("a"), Tree.from_nested(label))
+
+    def test_disjoint_labels(self):
+        s = make_caterpillar(["a", "b", "c", "d", "e"])
+        t = make_balanced(2, ["v", "w", "x", "y"])
+        assert not mast_size_matrix(s, t).any()
+        assert_table_matches_oracle(s, t)
+
+    # subtree id ranges of these widths are covered by two overlapping
+    # power-of-two windows rather than one
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 9])
+    def test_caterpillars(self, n):
+        rng = random.Random(n)
+        labels = [f"l{i}" for i in range(n)]
+        cat = make_caterpillar(labels)
+        others = [
+            cat,
+            make_caterpillar(labels[::-1]),
+            random_tree(rng, labels),
+            make_caterpillar(labels[2:] + ["p", "q"]),  # partial overlap
+        ]
+        for other in others:
+            assert_table_matches_oracle(cat, other)
+            assert_table_matches_oracle(other, cat)
+
+    def test_call_count_independent_of_tree_height(self):
+        # a fill makes about as many calls into C for caterpillars (height
+        # 511) as for balanced trees (height 9): nothing runs per height
+        labels = [str(i) for i in range(512)]
+        deep = make_caterpillar(labels), make_caterpillar(labels[::-1])
+        flat = make_balanced(9, labels), make_balanced(9, labels[::-1])
+        mast_size_matrix(*flat)  # numpy's first import is not part of a fill
+        deep_calls = c_calls(lambda: mast_size_matrix(*deep))
+        flat_calls = c_calls(lambda: mast_size_matrix(*flat))
+        assert deep_calls <= 2 * flat_calls
 
 
 class TestBalancedPairs:

@@ -8,9 +8,17 @@ suite checks the same examples.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mastforge import Tree, mast_bruteforce, mast_dp, parse, serialize
+from mastforge import (
+    Tree,
+    make_caterpillar,
+    mast_bruteforce,
+    mast_dp,
+    mast_size_matrix,
+    parse,
+    serialize,
+)
 
-from conftest import naive_mast_size, relabel, shuffle_children
+from conftest import naive_mast_size, naive_mast_table, relabel, shuffle_children
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, derandomize=True, database=None, deadline=None
@@ -52,6 +60,13 @@ def trees_over(pool: list[str]):
 POOL_TREES = trees_over(POOL)
 # at most 9 labels, so a pair with a POOL_TREES tree shares at most 9
 SMALL_POOL_TREES = trees_over(POOL[:9])
+# random merges, plus caterpillars with their spine on either side: each
+# side draws its own labels, so pairs overlap partly, fully or not at all
+CATERPILLARS = st.tuples(
+    st.lists(st.sampled_from(POOL), min_size=1, max_size=len(POOL), unique=True),
+    st.randoms(),
+).map(lambda args: shuffle_children(make_caterpillar(args[0]), args[1]))
+SHAPED_TREES = st.one_of(POOL_TREES, CATERPILLARS)
 
 
 def postorder(nested) -> list:
@@ -87,7 +102,8 @@ class TestLayout:
         order = postorder(nested)
         assert t.leaf_labels_in_order() == [x for x in order if isinstance(x, str)]
         assert [t.subtree(v).to_nested() for v in range(len(t.label))] == order
-        assert list(t.heights) == [height(x) for x in order]
+        heights = [t.subtree(v).height for v in range(len(t.label))]
+        assert heights == [height(x) for x in order]
 
 
 class TestMastAlgebra:
@@ -138,3 +154,10 @@ class TestMastAlgebra:
     @given(SMALL_POOL_TREES, POOL_TREES)
     def test_dp_matches_brute_force(self, s, t):
         assert mast_dp(s, t).size == mast_bruteforce(s, t)
+
+
+class TestSizeTable:
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(SHAPED_TREES, SHAPED_TREES)
+    def test_every_cell_matches_naive_recursion(self, s, t):
+        assert mast_size_matrix(s, t).tolist() == naive_mast_table(s, t)
