@@ -87,13 +87,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_mast(args) -> int:
+    if args.brute and args.witness:
+        print("the subset oracle reports only a size; drop --witness",
+              file=sys.stderr)
+        return 1
     s = _load_tree(args.s)
     t = _load_tree(args.t)
     if args.brute:
-        if args.witness:
-            print("the subset oracle reports only a size; drop --witness",
-                  file=sys.stderr)
-            return 1
         _emit(mast_bruteforce(s, t))
         return 0
     result = mast_dp(s, t)

@@ -19,6 +19,14 @@ maxima over subtrees of T, each the postorder id range first(w)..w, come from
 one sparse table (Bender & Farach-Colton, LATIN 2000): O(|T| log |T|) work
 in O(log |T|) numpy calls per row, whatever the shape of T.
 
+Cells are int16: a MAST size never exceeds the smaller leaf count, so the
+table is exact for trees below 2**15 leaves and takes 2 * |S| * |T| bytes.
+`mast_dp` keeps the whole table, since its backtrack reads any cell.  A
+caller that needs only sizes asks for the root row (``root_only``), which
+the same fill computes while holding at most height(S) + 2 rows, so memory
+is O(|T| * height(S)).  Both modes refuse, before allocating, inputs whose
+rows would not fit in physical memory or whose sizes int16 cannot hold.
+
 Witnesses are not unique; ties are broken in the fixed order the terms are
 listed above, so repeated runs return identical witnesses.
 """
@@ -26,6 +34,7 @@ listed above, so repeated runs return identical witnesses.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .tree import Tree
@@ -47,16 +56,42 @@ class MastResult:
     agreement_tree: Tree | None
 
 
-def mast_size_matrix(s: Tree, t: Tree) -> np.ndarray:
-    """Pairwise subtree MAST sizes.
+def _physical_memory_bytes() -> int:
+    """This machine's physical memory: no table may need more."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray:
+    """Pairwise subtree MAST sizes, as an int16 array.
 
     Entry ``[u, v]`` (node ids of ``s`` and ``t``; ids are postorder, the
     roots are ``s.root`` and ``t.root``) is the MAST size of the subtree of
-    ``s`` at ``u`` versus the subtree of ``t`` at ``v``.
+    ``s`` at ``u`` versus the subtree of ``t`` at ``v``.  A cell, and the sum
+    of the two cells a term adds, counts at most min(s.size, t.size) leaves,
+    so int16 is exact below 2**15 leaves.  The full table takes
+    2 * |S| * |T| bytes: 34 MB for two 2048-leaf trees.
+
+    With ``root_only`` the result is row ``s.root`` alone, shape (1, |T|).
+    The same fill then keeps only the live rows, those whose parent row is
+    not filled yet, at most ``s.height + 2`` of them: kilobytes for
+    balanced trees.
+
+    Raises ValueError, before allocating anything, if both trees have 2**15
+    leaves or more, or if the rows held need more than this machine's
+    physical memory.
     """
-    import numpy as np
     n = len(t.label)
-    matrix = np.zeros((len(s.label), n), dtype=np.int32)
+    rows = min(len(s.label), s.height + 2) if root_only else len(s.label)
+    need = rows * n * 2
+    budget = _physical_memory_bytes()
+    if min(s.size, t.size) >= 1 << 15 or need > budget:
+        raise ValueError(
+            f"a MAST table for {s.size} and {t.size} leaves needs "
+            f"{need / 1e9:.3g} GB; the limits are {budget / 1e9:.3g} GB and "
+            f"fewer than {1 << 15} leaves in the smaller tree"
+        )
+    import numpy as np
+    cell = np.int16
 
     # T-side geometry, used to evaluate every row in vectorized form.
     t_left = np.asarray(t.left, dtype=np.int64)
@@ -72,18 +107,36 @@ def mast_size_matrix(s: Tree, t: Tree) -> np.ndarray:
     j = np.frexp(width)[1].astype(np.int64) - 1
     lo = j * n + first
     hi = lo + width - (1 << j)
-    windows = np.zeros((n.bit_length(), n), dtype=np.int32)
+    windows = np.zeros((n.bit_length(), n), dtype=cell)
     own = windows[0]
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
 
+    def leaf_row(u, row):
+        v = t_leaf_at.get(s.label[u], n)  # n: no common leaf, an empty range
+        row[v:][first[v:] <= v] = 1  # 1 at v and every node above it
+        return row
+
+    if root_only:
+        live = {}  # filled rows whose parent row is not filled yet
+
+        def take(x):  # the parent's one read of row x, which then goes
+            return live.pop(x) if s.left[x] >= 0 else leaf_row(x, np.zeros(n, cell))
+
+        def new_row(u):
+            live[u] = np.empty(n, cell)
+            return live[u]
+    else:
+        matrix = np.zeros((len(s.label), n), dtype=cell)
+        take = new_row = matrix.__getitem__
+
     # postorder: child rows exist before parent rows
-    for u, (a, b, lab) in enumerate(zip(s.left, s.right, s.label)):
-        row = matrix[u]
-        if a < 0:
-            v = t_leaf_at.get(lab, n)  # n: no common leaf, an empty range
-            row[v:][first[v:] <= v] = 1  # 1 at v and every node above it
+    for u, (a, b) in enumerate(zip(s.left, s.right)):
+        if a < 0:  # kept in the full table; made by `take` otherwise
+            if not root_only:
+                leaf_row(u, matrix[u])
             continue
-        row_a, row_b = matrix[a], matrix[b]
+        row_a, row_b = take(a), take(b)
+        row = new_row(u)
         np.maximum(row_a, row_b, out=own)  # terms (S_L, T) and (S_R, T)
         # terms LL+RR and LR+RL at every internal node of T
         paired = np.maximum(row_a[left] + row_b[right], row_a[right] + row_b[left])
@@ -93,7 +146,7 @@ def mast_size_matrix(s: Tree, t: Tree) -> np.ndarray:
             prev, half = windows[i - 1], 1 << (i - 1)
             np.maximum(prev[:-half], prev[half:], out=windows[i, :-half])
         np.maximum(windows.take(lo), windows.take(hi), out=row)
-    return matrix
+    return take(s.root)[None] if root_only else matrix
 
 
 def _backtrack(s: Tree, t: Tree, matrix: np.ndarray) -> list[str]:

@@ -79,27 +79,25 @@ def random_overlapping_pair(rng: random.Random, max_common: int = 10):
     )
 
 
+def _rebuild(tree: Tree, leaf, join) -> Tree:
+    """A new tree from a postorder fold over ``tree``'s ids: ``leaf(label)``
+    at each leaf, ``join(a, b)`` of the children's nested forms above it.
+    Iterative, so caterpillars of any height rebuild."""
+    built: list = []
+    for a, b, lab in zip(tree.left, tree.right, tree.label):
+        built.append(leaf(lab) if a < 0 else join(built[a], built[b]))
+    return Tree.from_nested(built[-1])
+
+
 def relabel(tree: Tree, mapping: dict) -> Tree:
     """Rebuild ``tree`` with every leaf label passed through ``mapping``."""
-
-    def walk(nested):
-        if isinstance(nested, str):
-            return mapping[nested]
-        return (walk(nested[0]), walk(nested[1]))
-
-    return Tree.from_nested(walk(tree.to_nested()))
+    return _rebuild(tree, mapping.__getitem__, lambda a, b: (a, b))
 
 
 def shuffle_children(tree: Tree, rng: random.Random) -> Tree:
-    """Rebuild ``tree`` with child order randomly flipped at every node."""
-
-    def walk(nested):
-        if isinstance(nested, str):
-            return nested
-        a, b = walk(nested[0]), walk(nested[1])
-        return (b, a) if rng.random() < 0.5 else (a, b)
-
-    return Tree.from_nested(walk(tree.to_nested()))
+    """Rebuild ``tree`` with child order randomly flipped at every node
+    (one draw per internal node, in postorder)."""
+    return _rebuild(tree, str, lambda a, b: (b, a) if rng.random() < 0.5 else (a, b))
 
 
 # ----------------------------------------------------------------------

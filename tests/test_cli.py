@@ -141,6 +141,14 @@ class TestMast:
         )
         assert code == 1 and "witness" in err
 
+    def test_witness_with_brute_is_refused_before_reading(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "mast", "--brute", str(tmp_path / "absent_s.nwk"),
+            str(tmp_path / "absent_t.nwk"), "--witness", str(tmp_path / "w.nwk"),
+        )
+        assert code == 1 and not out
+        assert err == "the subset oracle reports only a size; drop --witness\n"
+
     def test_parse_error_names_file_and_position(self, tmp_path, capsys):
         path = tmp_path / "bad.nwk"
         path.write_text("(a,b,c);\n")
@@ -396,14 +404,19 @@ class TestWriteErrors:
         ["verify", "--k", "0"],
         ["mast", "{dir}/non_utf8.nwk", "{dir}/non_utf8.nwk"],
         ["mast", "--brute", "{dir}/wide.nwk", "{dir}/wide.nwk"],
+        ["mast", str(DATA_DIR / "balanced2048_s.nwk"), str(DATA_DIR / "balanced2048_t.nwk")],
     ],
     ids=[
         "bounds-n-zero", "bounds-n-huge", "probe-m-zero", "pack-negative",
         "generate-k-zero", "verify-k-zero", "mast-non-utf8", "mast-brute-17",
+        "mast-over-budget",
     ],
 )
-def test_error_contract(tmp_path, capsys, argv):
+def test_error_contract(tmp_path, capsys, monkeypatch, argv):
     # every failure: exit 1, nothing on stdout, one stderr line, no traceback
+    # on a 1 MB machine, where the golden pair's 33.5 MB table is refused;
+    # no other case gets as far as a table
+    monkeypatch.setattr(mastforge.mast, "_physical_memory_bytes", lambda: 10 ** 6)
     (tmp_path / "non_utf8.nwk").write_bytes(b"\xff\xfe(a,b);")
     # 17 common labels: one more than the subset oracle accepts
     labels = [str(i) for i in range(17)]

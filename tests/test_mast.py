@@ -8,6 +8,7 @@ import pytest
 
 from mastforge import (
     Tree,
+    build_counterexample,
     make_anticaterpillar_pair,
     make_balanced,
     make_caterpillar,
@@ -15,6 +16,7 @@ from mastforge import (
     mast_dp,
     mast_size_matrix,
 )
+from mastforge import mast as mast_module
 
 from conftest import (
     displayed_triple,
@@ -22,6 +24,9 @@ from conftest import (
     naive_mast_table,
     random_overlapping_pair,
     random_tree,
+    relabel,
+    shuffle_children,
+    traced_peak,
 )
 
 
@@ -57,6 +62,16 @@ class TestKnownValues:
         rng = random.Random(99)
         t = random_tree(rng, [f"v{i}" for i in range(6)])
         assert mast_bruteforce(t, t) == 6
+
+    def test_deep_caterpillar_against_relabelled_swapped_copy(self):
+        # cells up to 2000 need more than 8 bits and exceed the bench's 400
+        labels = [str(i) for i in range(2000)]
+        rng = random.Random(2000)
+        mapping = dict(zip(labels, rng.sample(labels, len(labels))))
+        cat = make_caterpillar(labels)
+        s = relabel(cat, mapping)
+        t = shuffle_children(relabel(cat, mapping), rng)
+        assert mast_dp(s, t).size == 2000
 
 
 class TestOracleAgreement:
@@ -243,6 +258,70 @@ class TestSizeTableCells:
         deep_calls = c_calls(lambda: mast_size_matrix(*deep))
         flat_calls = c_calls(lambda: mast_size_matrix(*flat))
         assert deep_calls <= 2 * flat_calls
+
+
+def right_comb(labels) -> Tree:
+    """The mirror of ``make_caterpillar``: the spine runs down the right."""
+    nested = labels[-1]
+    for lab in reversed(labels[:-1]):
+        nested = (lab, nested)
+    return Tree.from_nested(nested)
+
+
+def comb_pair(order):
+    labels = [str(i) for i in range(1500)]
+    left, right = make_caterpillar(labels), right_comb(labels[::-1])
+    return (left, right) if order == "left-right" else (right, left)
+
+
+class TestRootRow:
+    @pytest.mark.parametrize("case", ["golden", "k3", "left-right", "right-left", "one-leaf"])
+    def test_root_row_matches_full_table(self, case, golden_s, golden_t):
+        if case == "golden":
+            s, t = golden_s, golden_t
+        elif case == "k3":
+            pair = build_counterexample(3)
+            s, t = pair.s, pair.t
+        elif case == "one-leaf":  # the root row is a leaf row
+            s, t = Tree.from_nested("b"), make_caterpillar(["a", "b", "c"])
+        else:
+            s, t = comb_pair(case)
+        root = mast_size_matrix(s, t, root_only=True)
+        assert root.dtype == "int16"
+        assert root.tolist() == [mast_size_matrix(s, t)[s.root].tolist()]
+
+    def test_full_table_is_two_bytes_a_cell(self, golden_s, golden_t):
+        # 4095 x 4095 int16 cells are 33.5 MB; int32 cells took 67.7 MB
+        assert traced_peak(lambda: mast_size_matrix(golden_s, golden_t)) < 40e6
+
+    def test_root_row_holds_few_rows(self, golden_s, golden_t):
+        # height 11: at most 13 rows of 4095 cells and the range-max buffer
+        peak = traced_peak(lambda: mast_size_matrix(golden_s, golden_t, root_only=True))
+        assert peak < 2e6
+
+
+class TestTableBudget:
+    def test_int16_overflow_refused_before_allocating(self):
+        labels = [str(i) for i in range(1 << 15)]
+        s, t = make_caterpillar(labels), make_caterpillar(labels[::-1])
+        for root_only in (False, True):
+            def fill():
+                with pytest.raises(ValueError, match="32768 and 32768 leaves"):
+                    mast_size_matrix(s, t, root_only=root_only)
+            assert traced_peak(fill) < 1e6
+
+    def test_over_budget_refused(self, golden_s, golden_t, monkeypatch):
+        # the root row holds height + 2 = 13 rows of 4095 two-byte cells;
+        # the full table all 4095 rows, 33.5 MB
+        rows_bytes = 13 * 4095 * 2
+        monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes)
+        with pytest.raises(ValueError, match=r"2048 and 2048 leaves needs 0\.0335 GB"):
+            mast_size_matrix(golden_s, golden_t)
+        root = mast_size_matrix(golden_s, golden_t, root_only=True)
+        assert root[0, golden_t.root] == 32
+        monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes - 1)
+        with pytest.raises(ValueError, match="leaves needs 0.000106 GB"):
+            mast_size_matrix(golden_s, golden_t, root_only=True)
 
 
 class TestBalancedPairs:

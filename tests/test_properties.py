@@ -160,4 +160,6 @@ class TestSizeTable:
     @settings(PROPERTY_SETTINGS, max_examples=200)
     @given(SHAPED_TREES, SHAPED_TREES)
     def test_every_cell_matches_naive_recursion(self, s, t):
-        assert mast_size_matrix(s, t).tolist() == naive_mast_table(s, t)
+        table = mast_size_matrix(s, t)
+        assert table.tolist() == naive_mast_table(s, t)
+        assert mast_size_matrix(s, t, root_only=True).tolist() == [table[s.root].tolist()]
