@@ -14,10 +14,20 @@ O(|S| * |T|) table, and reconstructs one witness label set by backtracking.
 `mast_bruteforce` is a deliberately independent oracle that enumerates label
 subsets and compares restrictions, usable only for small intersections.
 
-A row of the table (a node of S) is filled over all of T at once.  Its
-maxima over subtrees of T, each the postorder id range first(w)..w, come from
-one sparse table (Bender & Farach-Colton, LATIN 2000): O(|T| log |T|) work
-in O(log |T|) numpy calls per row, whatever the shape of T.
+A row of the table (a node u of S with children a and b) is filled over all
+of T at once, and changes only where it can, in the spirit of Farach &
+Thorup's sparse DP (SIAM J. Comput. 1997).  Row u is max(row a, row b)
+except on D, the nodes of T where both child rows are positive, since a
+pair term can exceed that maximum only there.  D is closed upward:
+
+* when b is a leaf of S, D lies on the root path of b's leaf in T, and
+  row u is row a raised along that path by a running maximum;
+* otherwise the subtree maxima over D come from one sparse table over D's
+  compacted postorder ids (Bender & Farach-Colton, LATIN 2000), in which
+  the part of D in a subtree first(w)..w is one id range.
+
+A row thus costs a few O(|T|) numpy passes plus O(|D| log |D|) element work
+in O(log |D|) numpy calls, whatever the shape of T.
 
 Cells are int16: a MAST size never exceeds the smaller leaf count, so the
 table is exact for trees below 2**15 leaves and takes 2 * |S| * |T| bytes.
@@ -71,6 +81,11 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     so int16 is exact below 2**15 leaves.  The full table takes
     2 * |S| * |T| bytes: 34 MB for two 2048-leaf trees.
 
+    Rows are filled in postorder, each from its two child rows: row u
+    starts from one child's row and is raised only at the nodes of T
+    where both child rows are positive (see the module docstring), so a
+    row costs a few passes over T plus a sparse table over those nodes.
+
     With ``root_only`` the result is row ``s.root`` alone, shape (1, |T|).
     The same fill then keeps only the live rows, those whose parent row is
     not filled yet, at most ``s.height + 2`` of them: kilobytes for
@@ -93,22 +108,16 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     import numpy as np
     cell = np.int16
 
-    # T-side geometry, used to evaluate every row in vectorized form.
+    # T-side geometry, shared by every row
     t_left = np.asarray(t.left, dtype=np.int64)
-    internal = np.flatnonzero(t_left >= 0)
-    left = t_left[internal]
-    right = np.asarray(t.right, dtype=np.int64)[internal]
+    t_right = np.asarray(t.right, dtype=np.int64)
     first = []  # the leftmost leaf under each node: its subtree is first..w
     for w, a in enumerate(t.left):
         first.append(w if a < 0 else first[a])
     first = np.asarray(first, dtype=np.int64)
-    # first..w is the union of the 2**j-wide windows at first and ending at w
-    width = np.arange(1, n + 1) - first
-    j = np.frexp(width)[1].astype(np.int64) - 1
-    lo = j * n + first
-    hi = lo + width - (1 << j)
+    # sparse table over a row's compacted D ids; level i, offset x holds the
+    # max of the 2**i values from x on, and is read at flat index i * n + x
     windows = np.zeros((n.bit_length(), n), dtype=cell)
-    own = windows[0]
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
 
     def leaf_row(u, row):
@@ -122,12 +131,16 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
         def take(x):  # the parent's one read of row x, which then goes
             return live.pop(x) if s.left[x] >= 0 else leaf_row(x, np.zeros(n, cell))
 
-        def new_row(u):
-            live[u] = np.empty(n, cell)
+        def row_from(u, x):  # row u starts as row x, reused in place
+            live[u] = take(x)
             return live[u]
     else:
         matrix = np.zeros((len(s.label), n), dtype=cell)
-        take = new_row = matrix.__getitem__
+        take = matrix.__getitem__
+
+        def row_from(u, x):
+            matrix[u] = matrix[x]
+            return matrix[u]
 
     # postorder: child rows exist before parent rows
     for u, (a, b) in enumerate(zip(s.left, s.right)):
@@ -135,17 +148,43 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             if not root_only:
                 leaf_row(u, matrix[u])
             continue
-        row_a, row_b = take(a), take(b)
-        row = new_row(u)
-        np.maximum(row_a, row_b, out=own)  # terms (S_L, T) and (S_R, T)
-        # terms LL+RR and LR+RL at every internal node of T
-        paired = np.maximum(row_a[left] + row_b[right], row_a[right] + row_b[left])
-        own[internal] = np.maximum(own[internal], paired)
-        # terms (S, T_L) and (S, T_R): window i at x is max(own[x : x + 2**i])
-        for i in range(1, len(windows)):
+        if s.left[a] < 0:  # a leaf child, if there is one, is b
+            a, b = b, a
+        if s.left[b] < 0:
+            # row b is 1 on the root path of b's T leaf v and 0 elsewhere, so
+            # row u is row a raised on that path: a path node w gets at least
+            # 1, and 1 + row a at the off-path child of each path node up to w
+            row = row_from(u, a)
+            v = t_leaf_at.get(s.label[b])
+            if v is not None:
+                path = v + (first[v:] <= v).nonzero()[0]
+                off = t_left[path[1:]] + t_right[path[1:]] - path[:-1]
+                lift = np.empty(len(path), dtype=cell)
+                lift[0] = 1
+                np.add(row[off], 1, out=lift[1:])
+                row[path] = np.maximum(row[path], np.maximum.accumulate(lift))
+            continue
+        # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only if
+        # both rows are positive at w.  Those nodes, D, are closed upward, so
+        # the part of D in the subtree first(w)..w of a node w in D is one
+        # range of D's compacted ids; off D, row u is max(row a, row b).
+        row_b = take(b)
+        row = row_from(u, a)
+        d = np.minimum(row, row_b).nonzero()[0]
+        c, e = t_left[d], t_right[d]  # every node in D is internal
+        own = np.maximum(row[c] + row_b[e], row[e] + row_b[c])
+        np.maximum(row, row_b, out=row)  # terms (S_L, T) and (S_R, T)
+        # terms (S, T_L) and (S, T_R): the max of own over each range
+        k = len(d)
+        np.maximum(own, row[d], out=windows[0, :k])
+        for i in range(1, k.bit_length()):
             prev, half = windows[i - 1], 1 << (i - 1)
-            np.maximum(prev[:-half], prev[half:], out=windows[i, :-half])
-        np.maximum(windows.take(lo), windows.take(hi), out=row)
+            np.maximum(prev[: k - half], prev[half:k], out=windows[i, : k - half])
+        lo = np.searchsorted(d, first[d])
+        width = np.arange(1, k + 1) - lo
+        j = np.frexp(width)[1].astype(np.int64) - 1
+        lo += j * n
+        row[d] = np.maximum(windows.take(lo), windows.take(lo + width - (1 << j)))
     return take(s.root)[None] if root_only else matrix
 
 

@@ -60,10 +60,11 @@ class Tree:
     * ``left[v]`` and ``right[v]`` are the children, ``-1`` at a leaf;
     * ``label[v]`` is the leaf label, ``None`` at an internal node.
 
-    :meth:`from_nested` is the only builder and the only validator; the
-    constructor trusts the tuples and the ``height`` it is given.  Instances
-    are never mutated afterwards, so they are safe to share between threads
-    and to use as cache keys (by identity).
+    :meth:`from_nested` is the only validator.  The constructor trusts the
+    tuples and the ``height`` it is given; :meth:`subtree` and
+    :meth:`restrict` call it directly, as their labels are the host's,
+    already validated.  Instances are never mutated afterwards, so they are
+    safe to share between threads and to use as cache keys (by identity).
     """
 
     __slots__ = (
@@ -156,7 +157,10 @@ class Tree:
 
     def to_nested(self):
         """Return the nested form (labels and pairs) of this tree."""
-        return self._nested_below(self.root)
+        vals: list[object] = []
+        for a, b, lab in zip(self.left, self.right, self.label):  # postorder
+            vals.append(lab if a < 0 else (vals[a], vals[b]))
+        return vals[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tree leaves={self.size} height={self.height}>"
@@ -166,22 +170,18 @@ class Tree:
     # ------------------------------------------------------------------
 
     def subtree(self, node_id: int) -> "Tree":
-        """The pendant subtree rooted at ``node_id`` as a fresh tree."""
-        return Tree.from_nested(self._nested_below(node_id))
-
-    def _nested_below(self, node_id: int):
-        left, right, label = self.left, self.right, self.label
+        """The pendant subtree rooted at ``node_id`` as a fresh tree: the id
+        range from its leftmost leaf to ``node_id``, ids shifted down."""
         first = node_id  # the leftmost leaf opens the subtree's id range
-        while left[first] >= 0:
-            first = left[first]
-        vals: list[object] = []
-        for v in range(first, node_id + 1):  # postorder: children come first
-            a = left[v]
-            if a < 0:
-                vals.append(label[v])
-            else:
-                vals.append((vals[a - first], vals[right[v] - first]))
-        return vals[-1]
+        while self.left[first] >= 0:
+            first = self.left[first]
+        ids = slice(first, node_id + 1)
+        left = tuple(a - first if a >= 0 else -1 for a in self.left[ids])
+        right = tuple(b - first if b >= 0 else -1 for b in self.right[ids])
+        heights: list[int] = []
+        for a, b in zip(left, right):
+            heights.append(0 if a < 0 else 1 + max(heights[a], heights[b]))
+        return Tree(left, right, self.label[ids], heights[-1])
 
     def pendant_subtrees_at_depth(self, depth: int) -> list["Tree"]:
         """The 2**depth pendant subtrees rooted at ``depth``, left to right.
@@ -209,17 +209,33 @@ class Tree:
         missing = wanted - self.leaf_set()
         if missing:
             raise TreeError(f"labels not in tree: {sorted(missing)}")
-        vals: list[object] = []
-        for a, b, lab in zip(self.left, self.right, self.label):  # postorder fold
+        # A host leaf is kept iff wanted, an internal node iff both its sides
+        # hold kept nodes.  Kept nodes in host order are the restriction's
+        # postorder, so each takes the next id as the fold reaches it.
+        left: list[int] = []
+        right: list[int] = []
+        label: list[str | None] = []
+        heights: list[int] = []
+        new: list[int] = []  # host id -> id of the kept node it reduces to, or -1
+        for a, b, lab in zip(self.left, self.right, self.label):
             if a < 0:
-                vals.append(lab if lab in wanted else None)
+                if lab not in wanted:
+                    new.append(-1)
+                    continue
+                x = y = -1
+                height = 0
             else:
-                va, vb = vals[a], vals[b]
-                if va is not None and vb is not None:
-                    vals.append((va, vb))
-                else:
-                    vals.append(va if va is not None else vb)
-        return Tree.from_nested(vals[self.root])
+                x, y = new[a], new[b]
+                if x < 0 or y < 0:  # reduces to its one kept side, if any
+                    new.append(x if y < 0 else y)
+                    continue
+                height = 1 + max(heights[x], heights[y])
+            new.append(len(label))
+            left.append(x)
+            right.append(y)
+            label.append(lab)
+            heights.append(height)
+        return Tree(tuple(left), tuple(right), tuple(label), heights[-1])
 
     def canonical_form(self) -> str:
         """Deterministic string equal for two trees iff they are isomorphic

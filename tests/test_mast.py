@@ -1,5 +1,6 @@
 """MAST solver versus the subset-enumeration oracle and known values."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -15,6 +16,7 @@ from mastforge import (
     mast_bruteforce,
     mast_dp,
     mast_size_matrix,
+    serialize,
 )
 from mastforge import mast as mast_module
 
@@ -298,6 +300,104 @@ class TestRootRow:
         # height 11: at most 13 rows of 4095 cells and the range-max buffer
         peak = traced_peak(lambda: mast_size_matrix(golden_s, golden_t, root_only=True))
         assert peak < 2e6
+
+
+def assert_both_modes_match_oracle(s, t):
+    naive = naive_mast_table(s, t)
+    assert mast_size_matrix(s, t).tolist() == naive
+    assert mast_size_matrix(s, t, root_only=True).tolist() == [naive[s.root]]
+
+
+def both_positive(s, t, u):
+    """D for row u: the T nodes where both child rows of u are positive."""
+    table = naive_mast_table(s, t)
+    row_a, row_b = table[s.left[u]], table[s.right[u]]
+    return [w for w, (x, y) in enumerate(zip(row_a, row_b)) if x and y]
+
+
+def is_chain(t, nodes) -> bool:
+    """True iff every two of ``nodes`` are ancestor and descendant."""
+    def below(x, w):  # x in the subtree first(w)..w
+        first = w
+        while t.left[first] >= 0:
+            first = t.left[first]
+        return first <= x <= w
+
+    return all(below(x, w) or below(w, x) for x, w in itertools.combinations(nodes, 2))
+
+
+class TestRowStep:
+    """Each kind of row the fill makes, cell by cell against the oracle."""
+
+    @pytest.mark.parametrize("cherry", [("p", "q"), ("a", "q"), ("q", "a"), ("a", "c")])
+    def test_cherry_with_zero_one_or_two_labels_in_t(self, cherry):
+        t = random_tree(random.Random(70), ["a", "b", "c", "d", "e", "f"])
+        assert_both_modes_match_oracle(Tree.from_nested(cherry), t)
+
+    def test_caterpillar_with_labels_absent_from_t(self):
+        # every other leaf child of the spine has no leaf in T
+        labels = [f"l{i}" for i in range(12)]
+        s = make_caterpillar(labels)
+        rng = random.Random(71)
+        for t in (
+            make_caterpillar(labels[::2][::-1]),
+            random_tree(rng, labels[::2] + ["x", "y"]),
+            random_tree(rng, labels[1:5] + labels[8:]),
+        ):
+            assert_both_modes_match_oracle(s, t)
+            assert_both_modes_match_oracle(t, s)
+
+    def test_one_leaf_t(self):
+        # the root path of T's one leaf is that leaf: no off-path children
+        s = random_tree(random.Random(72), ["a", "b", "c", "d", "e"])
+        for label in ("a", "e", "z"):
+            assert_both_modes_match_oracle(s, Tree.from_nested(label))
+
+    def test_general_row_with_empty_d(self):
+        s = Tree.from_nested((("a", "b"), ("c", "d")))
+        t = random_tree(random.Random(73), ["a", "b", "x", "y"])
+        assert both_positive(s, t, s.root) == []
+        assert_both_modes_match_oracle(s, t)
+
+    def test_general_row_with_branching_d(self):
+        s = Tree.from_nested((("a", "b"), ("c", "d")))
+        t = Tree.from_nested((("a", "c"), ("b", "d")))
+        d = both_positive(s, t, s.root)
+        assert len(d) == 3 and not is_chain(t, d)
+        assert_both_modes_match_oracle(s, t)
+
+
+class TestPinnedWitnesses:
+    """The witness and its agreement tree, as the fill and the tie-break
+    order produce them today, on the pairs the results rest on."""
+
+    # the 32 labels both 2048-leaf pairs agree on
+    EXTREMAL = sorted(str(x + i) for x in range(4, 2048, 136) for i in (0, 1))
+
+    @pytest.mark.parametrize(
+        "case, labels, digest",
+        [
+            ("golden", EXTREMAL,
+             "a8a45a575b8298479fd655bb098b2b3f480b9b93d5a94b2c07ab2db4f5d684ce"),
+            ("k3", EXTREMAL,
+             "c58bdd8d310eddd76d3bb60de0dda1a05f4c5f3518a54f7a8c6595a3ba5b5932"),
+            ("caterpillar", sorted(f"l{i}" for i in range(400)),
+             "64128a4d28f7930533e2dc27cc72ebc39919b6efad2b6a381e4e678dbe9a67b1"),
+        ],
+    )
+    def test_witness_pinned(self, case, labels, digest, golden_s, golden_t):
+        if case == "golden":
+            s, t = golden_s, golden_t
+        elif case == "k3":
+            pair = build_counterexample(3)
+            s, t = pair.s, pair.t
+        else:
+            s = make_caterpillar([f"l{i}" for i in range(400)])
+            t = shuffle_children(s, random.Random(400))
+        result = mast_dp(s, t)
+        assert sorted(result.witness_labels) == labels
+        written = serialize(result.agreement_tree).encode()
+        assert hashlib.sha256(written).hexdigest() == digest
 
 
 class TestTableBudget:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mastforge import Tree, TreeError, make_balanced, make_caterpillar
+from mastforge import tree as tree_module
 
 from conftest import (
     CaterpillarEmbedding,
@@ -219,6 +220,91 @@ class TestPendantSubtrees:
     def test_unbalanced_rejected(self):
         with pytest.raises(TreeError):
             make_caterpillar(["a", "b", "c"]).pendant_subtrees_at_depth(1)
+
+
+def nested_forms(tree: Tree) -> list:
+    """The nested form of the subtree at every node id (postorder fold)."""
+    forms: list = []
+    for a, b, lab in zip(tree.left, tree.right, tree.label):
+        forms.append(lab if a < 0 else (forms[a], forms[b]))
+    return forms
+
+
+def nested_restrict(tree: Tree, labels) -> Tree:
+    """Restriction through a nested form and ``Tree.from_nested``: an
+    independent route to the tuples ``Tree.restrict`` builds directly."""
+    wanted = frozenset(labels)
+    vals: list = []
+    for a, b, lab in zip(tree.left, tree.right, tree.label):
+        if a < 0:
+            vals.append(lab if lab in wanted else None)
+        else:
+            va, vb = vals[a], vals[b]
+            if va is not None and vb is not None:
+                vals.append((va, vb))
+            else:
+                vals.append(va if va is not None else vb)
+    return Tree.from_nested(vals[-1])
+
+
+def fields(tree: Tree):
+    return tree.left, tree.right, tree.label, tree.height
+
+
+def deep_hosts():
+    labels = [f"l{i}" for i in range(2000)]
+    cat = make_caterpillar(labels)
+    return cat, shuffle_children(cat, random.Random(2000))
+
+
+class TestTupleBuilders:
+    """``subtree`` and ``restrict`` build tuples directly; they must equal
+    what the nested route builds, child order and height included."""
+
+    def test_subtree_matches_nested_route_on_random_trees(self):
+        rng = random.Random(60)
+        for _ in range(40):
+            tree = random_tree(rng, [f"x{i}" for i in range(rng.randint(1, 30))])
+            forms = nested_forms(tree)
+            for v in range(len(tree.label)):
+                assert fields(tree.subtree(v)) == fields(Tree.from_nested(forms[v]))
+
+    def test_subtree_matches_nested_route_on_deep_caterpillars(self):
+        for host in deep_hosts():
+            forms = nested_forms(host)
+            for v in [*range(0, host.root, 97), host.root]:
+                assert fields(host.subtree(v)) == fields(Tree.from_nested(forms[v]))
+
+    def test_restrict_matches_nested_route_on_random_trees(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            labels = [f"x{i}" for i in range(rng.randint(1, 30))]
+            tree = random_tree(rng, labels)
+            kept = rng.sample(labels, rng.randint(1, len(labels)))
+            assert fields(tree.restrict(kept)) == fields(nested_restrict(tree, kept))
+
+    def test_restrict_matches_nested_route_on_deep_caterpillars(self):
+        rng = random.Random(62)
+        for host in deep_hosts():
+            labels = sorted(host.leaf_set())
+            for k in (1, 2, 16, 1000, 2000):
+                kept = rng.sample(labels, k)
+                assert fields(host.restrict(kept)) == fields(nested_restrict(host, kept))
+
+    def test_labels_are_not_revalidated(self, monkeypatch):
+        calls = []
+
+        def counting(token):
+            calls.append(token)
+            return token
+
+        monkeypatch.setattr(tree_module, "validate_label", counting)
+        host = make_balanced(6, [str(i) for i in range(64)])
+        assert len(calls) == 64  # the builder validates every label once
+        calls.clear()
+        host.restrict([str(i) for i in range(0, 64, 3)])
+        host.pendant_subtrees_at_depth(3)
+        assert calls == []
 
 
 class TestCaterpillarEmbedding:
