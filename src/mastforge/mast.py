@@ -22,20 +22,30 @@ pair term can exceed that maximum only there.  D is closed upward:
 
 * when b is a leaf of S, D lies on the root path of b's leaf in T, and
   row u is row a raised along that path by a running maximum;
-* otherwise the subtree maxima over D come from one sparse table over D's
+* otherwise the subtree maxima over D come from a sparse table over D's
   compacted postorder ids (Bender & Farach-Colton, LATIN 2000), in which
   the part of D in a subtree first(w)..w is one id range.
 
-A row thus costs a few O(|T|) numpy passes plus O(|D| log |D|) element work
-in O(log |D|) numpy calls, whatever the shape of T.
+Rows are filled in batches whose child rows are all done: inside each
+block, a maximal pendant subtree of S with at most
+max(1, BATCH_CELLS // |T|) leaves, the nodes of one height; above the
+blocks, one node per batch in postorder.  Each row keeps its few O(|T|)
+numpy passes (max(row a, row b), and D from where both are positive),
+while a batch makes one pass for the pair terms of all its D cells, one
+sparse table over them and one write-back: O(log |D|) numpy calls per
+batch rather than per row, whatever the shape of T.  A caterpillar S gets
+one-row batches.
 
 Cells are int16: a MAST size never exceeds the smaller leaf count, so the
-table is exact for trees below 2**15 leaves and takes 2 * |S| * |T| bytes.
+table is exact for trees below 2**15 leaves and takes 2 * |S| * |T| bytes,
+in a private mapping whose pages go back to the system when it is freed.
 `mast_dp` keeps the whole table, since its backtrack reads any cell.  A
 caller that needs only sizes asks for the root row (``root_only``), which
-the same fill computes while holding at most height(S) + 2 rows, so memory
-is O(|T| * height(S)).  Both modes refuse, before allocating, inputs whose
-rows would not fit in physical memory or whose sizes int16 cannot hold.
+the same fill computes in a pool of at most
+max(1, BATCH_CELLS // |T|) + height(S) + 2 rows, so memory is
+O(BATCH_CELLS + |T| * height(S)).  Both modes refuse, before allocating,
+inputs whose rows would not fit in physical memory or whose sizes int16
+cannot hold.
 
 Witnesses are not unique; ties are broken in the fixed order the terms are
 listed above, so repeated runs return identical witnesses.
@@ -45,11 +55,17 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .tree import Tree
 
 BRUTEFORCE_LIMIT = 16
+
+# Cells of T-rows a block of the fill may span: a block of S has at most
+# max(1, BATCH_CELLS // |T|) leaves (see _fill_order), so a root-row fill
+# holds about 1 MB of rows beyond height(S) + 2.
+BATCH_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -71,6 +87,52 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _fill_order(s: Tree, block_leaves: int) -> list[list[int]]:
+    """S's internal nodes in fill order, as batches whose child rows are
+    all filled before the batch starts.
+
+    A block is a maximal pendant subtree of S with at most ``block_leaves``
+    leaves.  A block gives one batch per height, lowest first, scheduled
+    just before its root's parent; each node above the blocks is a batch of
+    its own, in postorder.
+    """
+    span = 2 * block_leaves - 2  # u - first(u) at a subtree of that many leaves
+    first: list[int] = []
+    height: list[int] = []
+    pending: list[int] = []  # nodes of blocks not scheduled yet, in postorder
+    batches: list[list[int]] = []
+
+    def close(nodes):  # one block's nodes, grouped by height
+        if nodes:
+            levels = [[] for _ in range(height[nodes[-1]])]
+            for u in nodes:
+                levels[height[u] - 1].append(u)
+            batches.extend(levels)
+
+    for u, (a, b) in enumerate(zip(s.left, s.right)):
+        if a < 0:
+            first.append(u)
+            height.append(0)
+            continue
+        f = first[a]
+        first.append(f)
+        ha, hb = height[a], height[b]
+        height.append(1 + (ha if ha > hb else hb))
+        if u - f <= span:
+            pending.append(u)
+            continue
+        # u is above the blocks: a child that roots a block closes it here.
+        # Pending nodes below f belong to blocks hanging off u's ancestors.
+        i = bisect_left(pending, f)
+        j = bisect_left(pending, a + 1, i)
+        close(pending[i:j])
+        close(pending[j:])
+        del pending[i:]
+        batches.append([u])
+    close(pending)  # S is one block
+    return batches
+
+
 def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray:
     """Pairwise subtree MAST sizes, as an int16 array.
 
@@ -81,22 +143,26 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     so int16 is exact below 2**15 leaves.  The full table takes
     2 * |S| * |T| bytes: 34 MB for two 2048-leaf trees.
 
-    Rows are filled in postorder, each from its two child rows: row u
-    starts from one child's row and is raised only at the nodes of T
-    where both child rows are positive (see the module docstring), so a
-    row costs a few passes over T plus a sparse table over those nodes.
+    Each row is made from its two child rows: it is their maximum, raised
+    only at the nodes of T where both child rows are positive (see the
+    module docstring).  Rows are filled in batches of rows whose children
+    are done, and a row costs a few passes over T, while the raising of
+    all rows of a batch shares one sparse table.
 
     With ``root_only`` the result is row ``s.root`` alone, shape (1, |T|).
-    The same fill then keeps only the live rows, those whose parent row is
-    not filled yet, at most ``s.height + 2`` of them: kilobytes for
-    balanced trees.
+    The same fill then holds only the rows whose parent row is not done,
+    in a pool of at most max(1, BATCH_CELLS // |T|) + ``s.height`` + 2
+    rows: about 1 MB for balanced trees.
 
     Raises ValueError, before allocating anything, if both trees have 2**15
     leaves or more, or if the rows held need more than this machine's
     physical memory.
     """
     n = len(t.label)
-    rows = min(len(s.label), s.height + 2) if root_only else len(s.label)
+    block_leaves = max(1, BATCH_CELLS // n)
+    rows = len(s.label)
+    if root_only:
+        rows = min(rows, block_leaves + s.height + 2)
     need = rows * n * 2
     budget = _physical_memory_bytes()
     if min(s.size, t.size) >= 1 << 15 or need > budget:
@@ -115,77 +181,139 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     for w, a in enumerate(t.left):
         first.append(w if a < 0 else first[a])
     first = np.asarray(first, dtype=np.int64)
-    # sparse table over a row's compacted D ids; level i, offset x holds the
-    # max of the 2**i values from x on, and is read at flat index i * n + x
-    windows = np.zeros((n.bit_length(), n), dtype=cell)
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
 
-    def leaf_row(u, row):
+    def leaf_row(u, row):  # on a zeroed row
         v = t_leaf_at.get(s.label[u], n)  # n: no common leaf, an empty range
         row[v:][first[v:] <= v] = 1  # 1 at v and every node above it
         return row
 
+    if s.left[s.root] < 0 and root_only:
+        return leaf_row(s.root, np.zeros((1, n), dtype=cell)[0])[None]
+    # Row u of S lives in row slot[u] of the store.  The full table is its
+    # own store.  With root_only the store is a pool of rows: a row holds
+    # its slot until its parent's batch is done, and the free slots are kept
+    # in descending order, so the new rows of a batch get ascending slots.
+    store = _zeroed_rows(rows, n)
     if root_only:
-        live = {}  # filled rows whose parent row is not filled yet
-
-        def take(x):  # the parent's one read of row x, which then goes
-            return live.pop(x) if s.left[x] >= 0 else leaf_row(x, np.zeros(n, cell))
-
-        def row_from(u, x):  # row u starts as row x, reused in place
-            live[u] = take(x)
-            return live[u]
+        free = list(range(rows - 1, -1, -1))
+        slot = [0] * len(s.label)
     else:
-        matrix = np.zeros((len(s.label), n), dtype=cell)
-        take = matrix.__getitem__
+        free = None
+        slot = range(len(s.label))
+        for u, a in enumerate(s.left):
+            if a < 0:
+                leaf_row(u, store[u])
 
-        def row_from(u, x):
-            matrix[u] = matrix[x]
-            return matrix[u]
+    for batch in _fill_order(s, block_leaves):
+        row_u, row_a, row_b, ds = [], [], [], []  # the batch's general rows
+        for u in batch:
+            a, b = s.left[u], s.right[u]
+            if s.left[a] < 0:  # a leaf child, if there is one, is b
+                a, b = b, a
+            if s.left[b] < 0:
+                # row b is 1 on the root path of b's T leaf v and 0 elsewhere,
+                # so row u is row a raised on that path: a path node w gets at
+                # least 1, and 1 + row a at the off-path child of each path
+                # node up to w.  Row u starts as row a, in place in the pool.
+                if free is None:
+                    row = store[u]
+                    row[:] = store[a]
+                elif s.left[a] < 0:  # a cherry: leaf rows are not held
+                    slot[u] = free.pop()
+                    row = store[slot[u]]
+                    row.fill(0)
+                    leaf_row(a, row)
+                else:
+                    slot[u] = slot[a]
+                    row = store[slot[u]]
+                v = t_leaf_at.get(s.label[b])
+                if v is not None:
+                    path = v + (first[v:] <= v).nonzero()[0]
+                    off = t_left[path[1:]] + t_right[path[1:]] - path[:-1]
+                    lift = np.empty(len(path), dtype=cell)
+                    lift[0] = 1
+                    np.add(row[off], 1, out=lift[1:])
+                    row[path] = np.maximum(row[path], np.maximum.accumulate(lift))
+                continue
+            # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only
+            # if both rows are positive at w: those nodes are D.  Off D row u
+            # is max(row a, row b), the terms (S_L, T) and (S_R, T).
+            if free is not None:
+                slot[u] = free.pop()
+            a, b = slot[a], slot[b]
+            ds.append(np.logical_and(store[a], store[b]).nonzero()[0])
+            np.maximum(store[a], store[b], out=store[slot[u]])
+            row_u.append(slot[u])
+            row_a.append(a)
+            row_b.append(b)
+        if ds:
+            _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first)
+        if free is not None:  # the children's rows were read for the last time
+            free += row_a + row_b
+            free.sort(reverse=True)
+    if root_only:
+        return store[[slot[s.root]]]
+    return store
 
-    # postorder: child rows exist before parent rows
-    for u, (a, b) in enumerate(zip(s.left, s.right)):
-        if a < 0:  # kept in the full table; made by `take` otherwise
-            if not root_only:
-                leaf_row(u, matrix[u])
-            continue
-        if s.left[a] < 0:  # a leaf child, if there is one, is b
-            a, b = b, a
-        if s.left[b] < 0:
-            # row b is 1 on the root path of b's T leaf v and 0 elsewhere, so
-            # row u is row a raised on that path: a path node w gets at least
-            # 1, and 1 + row a at the off-path child of each path node up to w
-            row = row_from(u, a)
-            v = t_leaf_at.get(s.label[b])
-            if v is not None:
-                path = v + (first[v:] <= v).nonzero()[0]
-                off = t_left[path[1:]] + t_right[path[1:]] - path[:-1]
-                lift = np.empty(len(path), dtype=cell)
-                lift[0] = 1
-                np.add(row[off], 1, out=lift[1:])
-                row[path] = np.maximum(row[path], np.maximum.accumulate(lift))
-            continue
-        # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only if
-        # both rows are positive at w.  Those nodes, D, are closed upward, so
-        # the part of D in the subtree first(w)..w of a node w in D is one
-        # range of D's compacted ids; off D, row u is max(row a, row b).
-        row_b = take(b)
-        row = row_from(u, a)
-        d = np.minimum(row, row_b).nonzero()[0]
-        c, e = t_left[d], t_right[d]  # every node in D is internal
-        own = np.maximum(row[c] + row_b[e], row[e] + row_b[c])
-        np.maximum(row, row_b, out=row)  # terms (S_L, T) and (S_R, T)
-        # terms (S, T_L) and (S, T_R): the max of own over each range
-        k = len(d)
-        np.maximum(own, row[d], out=windows[0, :k])
-        for i in range(1, k.bit_length()):
-            prev, half = windows[i - 1], 1 << (i - 1)
-            np.maximum(prev[: k - half], prev[half:k], out=windows[i, : k - half])
-        lo = np.searchsorted(d, first[d])
-        width = np.arange(1, k + 1) - lo
-        j = np.frexp(width)[1].astype(np.int64) - 1
-        lo += j * n
-        row[d] = np.maximum(windows.take(lo), windows.take(lo + width - (1 << j)))
-    return take(s.root)[None] if root_only else matrix
+
+def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
+    """The terms at D of one batch's general rows, in one pass.
+
+    ``row_u``, ``row_a`` and ``row_b`` are the rows of ``store`` that hold
+    each row u and its two child rows, ``row_u`` ascending, and ``ds`` the
+    sorted D of each row.  A cell of row u in D becomes the max of its pair
+    terms and max(row a, row b) over the part of D in its subtree
+    first(w)..w: the terms (S, T_L) and (S, T_R).  D is closed upward, so
+    that part is a range of the batch's D cells that ends at w's.  The cells
+    are keyed by their flat index slot * |T| + id, ascending, and a range is
+    found by searching for the key of first(w) in the same slot, so none
+    starts in another row.
+    """
+    import numpy as np
+    d = np.concatenate(ds)
+    k = len(d)
+    if not k:
+        return
+    n = store.shape[1]
+    flat = store.reshape(-1)
+    counts = [len(x) for x in ds]
+    at_u = np.repeat(row_u, counts) * n + d
+    at_a = np.repeat(row_a, counts) * n
+    at_b = np.repeat(row_b, counts) * n
+    c, e = t_left[d], t_right[d]  # every node in D is internal
+    own = np.maximum(flat[at_a + c] + flat[at_b + e], flat[at_a + e] + flat[at_b + c])
+    np.maximum(own, flat[at_u], out=own)
+    # sparse table: level i, offset x holds the max of the 2**i values from
+    # x on, and is read at flat index i * k + x
+    windows = np.empty((k.bit_length(), k), dtype=own.dtype)
+    windows[0] = own
+    for i in range(1, k.bit_length()):
+        prev, half = windows[i - 1], 1 << (i - 1)
+        np.maximum(prev[: k - half], prev[half:], out=windows[i, : k - half])
+    lo = np.searchsorted(at_u, at_u - d + first[d])
+    width = np.arange(1, k + 1) - lo
+    j = np.frexp(width)[1].astype(np.int64) - 1
+    lo += j * k
+    flat[at_u] = np.maximum(windows.take(lo), windows.take(lo + width - (1 << j)))
+
+
+def _zeroed_rows(rows: int, n: int) -> np.ndarray:
+    """A zeroed int16 (rows, n) array in its own private mapping.
+
+    The pages go back to the system when the array is freed.  A 2048-leaf
+    table is just under glibc's 32 MiB cap on its mmap threshold, so from
+    the heap a freed table would be carved up by later allocations and the
+    next table would grow the heap by its whole size.  Pages are mapped in
+    as the fill first writes them, so the pages of leaf rows that stay zero
+    are never resident; mapping all of them up front (MAP_POPULATE) saved
+    about 5 ms of page faults on a 2048-leaf table but held 0.5 MB more.
+    """
+    import mmap
+
+    import numpy as np
+    pages = mmap.mmap(-1, rows * n * 2, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype=np.int16).reshape(rows, n)
 
 
 def _backtrack(s: Tree, t: Tree, matrix: np.ndarray) -> list[str]:

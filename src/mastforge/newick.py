@@ -52,10 +52,16 @@ def parse(text: str) -> Tree:
     if i >= n:
         raise NewickError("empty input", 0)
 
-    # Each open '(' pushes a frame holding the children finished so far.
-    frames: list[list] = []
+    # Subtrees complete in postorder (a leaf when read, a node at its ')'),
+    # so each takes the next node id as it completes.  Each open '(' pushes
+    # a frame holding the ids of the children finished so far.
+    left: list[int] = []
+    right: list[int] = []
+    labels: list[str | None] = []
+    heights: list[int] = []
+    frames: list[list[int]] = []
     seen: dict[str, int] = {}
-    node = None  # nested form of the most recently completed subtree
+    node = -1  # id of the most recently completed subtree
 
     while True:
         i = _skip_ws(text, i)
@@ -75,7 +81,11 @@ def parse(text: str) -> Tree:
         if label in seen:
             raise NewickError(f"duplicate leaf label {label!r}", i - len(label))
         seen[label] = i - len(label)
-        node = label
+        node = len(labels)
+        left.append(-1)
+        right.append(-1)
+        labels.append(label)
+        heights.append(0)
 
         # fold completed subtrees into enclosing frames
         while True:
@@ -94,7 +104,9 @@ def parse(text: str) -> Tree:
                 i = _skip_ws(text, i)
                 if i < n:
                     raise NewickError("trailing characters after ';'", i)
-                return Tree.from_nested(node)
+                # _read_label admits only legal labels and `seen` refuses
+                # repeats, so the tuples need no second validation
+                return Tree(tuple(left), tuple(right), tuple(labels), heights[-1])
             if i >= n:
                 raise NewickError(
                     f"unexpected end of input with {len(frames)} unclosed '('", n
@@ -115,7 +127,13 @@ def parse(text: str) -> Tree:
                         "exactly two children",
                         i,
                     )
-                node = (frame[0], node)
+                a = frame[0]
+                left.append(a)
+                right.append(node)
+                labels.append(None)
+                ha, hb = heights[a], heights[node]
+                heights.append(1 + (ha if ha > hb else hb))
+                node = len(labels) - 1
                 i += 1
                 continue  # the joined pair may itself close a frame
             raise NewickError(f"expected ',' or ')', found {text[i]!r}", i)

@@ -60,10 +60,11 @@ class Tree:
     * ``left[v]`` and ``right[v]`` are the children, ``-1`` at a leaf;
     * ``label[v]`` is the leaf label, ``None`` at an internal node.
 
-    :meth:`from_nested` is the only validator.  The constructor trusts the
-    tuples and the ``height`` it is given; :meth:`subtree` and
+    :meth:`from_nested` validates a nested form.  The constructor trusts
+    the tuples and the ``height`` it is given; :meth:`subtree` and
     :meth:`restrict` call it directly, as their labels are the host's,
-    already validated.  Instances are never mutated afterwards, so they are
+    already validated, and so does ``newick.parse``, whose reader admits
+    only legal, distinct labels and binary nodes.  Instances are never mutated afterwards, so they are
     safe to share between threads and to use as cache keys (by identity).
     """
 
@@ -172,6 +173,8 @@ class Tree:
     def subtree(self, node_id: int) -> "Tree":
         """The pendant subtree rooted at ``node_id`` as a fresh tree: the id
         range from its leftmost leaf to ``node_id``, ids shifted down."""
+        if not 0 <= node_id <= self.root:
+            raise TreeError(f"node id {node_id} is not in 0..{self.root}")
         first = node_id  # the leftmost leaf opens the subtree's id range
         while self.left[first] >= 0:
             first = self.left[first]

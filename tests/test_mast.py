@@ -297,9 +297,26 @@ class TestRootRow:
         assert traced_peak(lambda: mast_size_matrix(golden_s, golden_t)) < 40e6
 
     def test_root_row_holds_few_rows(self, golden_s, golden_t):
-        # height 11: at most 13 rows of 4095 cells and the range-max buffer
+        # height 11: a pool of at most 141 rows of 4095 cells, 1.15 MB
         peak = traced_peak(lambda: mast_size_matrix(golden_s, golden_t, root_only=True))
         assert peak < 2e6
+
+
+    def test_rows_held(self, golden_s, golden_t, monkeypatch):
+        # the rows live in a private mapping, which tracemalloc does not see:
+        # every row of S for the full table, a pool of 2**19 // 4095 +
+        # height + 2 rows for the root row
+        shapes = []
+        zeroed_rows = mast_module._zeroed_rows
+
+        def recording(rows, n):
+            shapes.append((rows, n))
+            return zeroed_rows(rows, n)
+
+        monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
+        assert mast_size_matrix(golden_s, golden_t).nbytes == 4095 * 4095 * 2
+        mast_size_matrix(golden_s, golden_t, root_only=True)
+        assert shapes == [(4095, 4095), (141, 4095)]
 
 
 def assert_both_modes_match_oracle(s, t):
@@ -367,6 +384,17 @@ class TestRowStep:
         assert_both_modes_match_oracle(s, t)
 
 
+    def test_one_batch_with_empty_and_branching_d(self):
+        # the rows (ab, cd) and (ef, gh) are filled in one batch; T lacks g
+        # and h, so the second has no D while the first's D branches
+        s = Tree.from_nested(((("a", "b"), ("c", "d")), (("e", "f"), ("g", "h"))))
+        t = Tree.from_nested(((("a", "c"), ("b", "d")), ("e", "f")))
+        assert [6, 13] in mast_module._fill_order(s, 8)
+        assert both_positive(s, t, 13) == []
+        assert not is_chain(t, both_positive(s, t, 6))
+        assert_both_modes_match_oracle(s, t)
+
+
 class TestPinnedWitnesses:
     """The witness and its agreement tree, as the fill and the tie-break
     order produce them today, on the pairs the results rest on."""
@@ -411,16 +439,16 @@ class TestTableBudget:
             assert traced_peak(fill) < 1e6
 
     def test_over_budget_refused(self, golden_s, golden_t, monkeypatch):
-        # the root row holds height + 2 = 13 rows of 4095 two-byte cells;
-        # the full table all 4095 rows, 33.5 MB
-        rows_bytes = 13 * 4095 * 2
+        # the root row holds a pool of 2**19 // 4095 + height + 2 = 141 rows
+        # of 4095 two-byte cells; the full table all 4095 rows, 33.5 MB
+        rows_bytes = 141 * 4095 * 2
         monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes)
         with pytest.raises(ValueError, match=r"2048 and 2048 leaves needs 0\.0335 GB"):
             mast_size_matrix(golden_s, golden_t)
         root = mast_size_matrix(golden_s, golden_t, root_only=True)
         assert root[0, golden_t.root] == 32
         monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes - 1)
-        with pytest.raises(ValueError, match="leaves needs 0.000106 GB"):
+        with pytest.raises(ValueError, match="leaves needs 0.00115 GB"):
             mast_size_matrix(golden_s, golden_t, root_only=True)
 
 

@@ -1,12 +1,14 @@
 """Newick parsing and serialization, including the 2048-leaf golden pair."""
 
 import random
+import re
 
 import pytest
 
-from mastforge import NewickError, make_caterpillar, parse, serialize
+from mastforge import NewickError, Tree, make_caterpillar, parse, serialize
+from mastforge import tree as tree_module
 
-from conftest import random_tree, traced_peak
+from conftest import DATA_DIR, random_tree, shuffle_children, traced_peak
 
 
 class TestParse:
@@ -109,3 +111,57 @@ class TestGoldenPair:
     def test_round_trip_preserves_structure(self, golden_s, golden_t):
         for tree in (golden_s, golden_t):
             assert parse(serialize(tree)).is_isomorphic(tree)
+
+
+def nested_parse(text: str):
+    """The nested form of a Newick text, read token by token: an
+    independent route to the tuples ``parse`` builds in its one walk."""
+    stack: list = [[]]
+    for token in re.findall(r"[(),;]|[^(),;\s]+", text):
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            a, b = stack.pop()
+            stack[-1].append((a, b))
+        elif token not in ",;":
+            stack[-1].append(token)
+    return stack[0][0]
+
+
+def assert_matches_nested_route(text: str):
+    got, want = parse(text), Tree.from_nested(nested_parse(text))
+    assert (got.left, got.right, got.label, got.height) == (
+        want.left, want.right, want.label, want.height
+    )
+
+
+class TestOneWalk:
+    """``parse`` builds the postorder tuples and the height as it reads."""
+
+    @pytest.mark.parametrize("name", ["balanced2048_s.nwk", "balanced2048_t.nwk"])
+    def test_golden_trees_match_nested_route(self, name):
+        assert_matches_nested_route((DATA_DIR / name).read_text())
+
+    def test_random_trees_match_nested_route(self):
+        rng = random.Random(90)
+        for _ in range(100):
+            t = random_tree(rng, [f"L{i}" for i in range(rng.randint(1, 64))])
+            assert_matches_nested_route(serialize(t))
+            assert_matches_nested_route(serialize(t).replace(",", " ,\n "))
+
+    def test_deep_caterpillars_match_nested_route(self):
+        cat = make_caterpillar([f"x{i}" for i in range(2000)])
+        assert_matches_nested_route(serialize(cat))
+        assert_matches_nested_route(serialize(shuffle_children(cat, random.Random(2))))
+
+    def test_labels_are_not_revalidated(self, monkeypatch):
+        calls = []
+
+        def counting(token):
+            calls.append(token)
+            return token
+
+        text = serialize(make_caterpillar([f"x{i}" for i in range(64)]))
+        monkeypatch.setattr(tree_module, "validate_label", counting)
+        assert parse(text).size == 64
+        assert calls == []

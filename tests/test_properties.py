@@ -5,6 +5,9 @@ Runs are derandomized and use no example database, so every run of the
 suite checks the same examples.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from mastforge import (
     parse,
     serialize,
 )
+from mastforge import mast as mast_module
 
 from conftest import naive_mast_size, naive_mast_table, relabel, shuffle_children
 
@@ -163,3 +167,16 @@ class TestSizeTable:
         table = mast_size_matrix(s, t)
         assert table.tolist() == naive_mast_table(s, t)
         assert mast_size_matrix(s, t, root_only=True).tolist() == [table[s.root].tolist()]
+
+    # blocks of at most 1, 2 or 3 leaves: S splits into many blocks, and
+    # the root-row pool hands each slot out again and again
+    @pytest.mark.parametrize("block_leaves", [1, 2, 3])
+    @PROPERTY_SETTINGS
+    @given(SHAPED_TREES, SHAPED_TREES)
+    def test_every_cell_matches_naive_recursion_in_small_blocks(self, block_leaves, s, t):
+        cells = block_leaves * len(t.label)
+        with mock.patch.object(mast_module, "BATCH_CELLS", cells):
+            table = mast_size_matrix(s, t)
+            root = mast_size_matrix(s, t, root_only=True)
+        assert table.tolist() == naive_mast_table(s, t)
+        assert root.tolist() == [table[s.root].tolist()]

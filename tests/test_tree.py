@@ -221,6 +221,13 @@ class TestPendantSubtrees:
         with pytest.raises(TreeError):
             make_caterpillar(["a", "b", "c"]).pendant_subtrees_at_depth(1)
 
+    @pytest.mark.parametrize("node_id", [-3, -1, 7, 100])
+    def test_subtree_refuses_ids_outside_the_tree(self, node_id):
+        # a negative id must not index from the end: -3 would give the leaf d
+        t = make_balanced(2, list("abcd"))
+        with pytest.raises(TreeError, match=rf"node id {node_id} is not in 0\.\.6"):
+            t.subtree(node_id)
+
 
 def nested_forms(tree: Tree) -> list:
     """The nested form of the subtree at every node id (postorder fold)."""
