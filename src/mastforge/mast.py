@@ -20,7 +20,10 @@ Thorup's sparse DP (SIAM J. Comput. 1997).  Row u is max(row a, row b)
 except on D, the nodes of T where both child rows are positive, since a
 pair term can exceed that maximum only there.  D is closed upward:
 
-* when b is a leaf of S, D lies on the root path of b's leaf in T, and
+* when a and b are both leaves of S (a cherry), cell (u, w) is the number
+  of its two labels whose T leaf lies in w's subtree first(w)..w, so the
+  row is a count over the root paths of those leaves;
+* when only b is a leaf, D lies on the root path of b's leaf in T, and
   row u is row a raised along that path by a running maximum;
 * otherwise the subtree maxima over D come from a sparse table over D's
   compacted postorder ids (Bender & Farach-Colton, LATIN 2000), in which
@@ -29,16 +32,20 @@ pair term can exceed that maximum only there.  D is closed upward:
 Rows are filled in batches whose child rows are all done: inside each
 block, a maximal pendant subtree of S with at most
 max(1, BATCH_CELLS // |T|) leaves, the nodes of one height; above the
-blocks, one node per batch in postorder.  Each row keeps its few O(|T|)
-numpy passes (max(row a, row b), and D from where both are positive),
-while a batch makes one pass for the pair terms of all its D cells, one
-sparse table over them and one write-back: O(log |D|) numpy calls per
-batch rather than per row, whatever the shape of T.  A caterpillar S gets
-one-row batches.
+blocks, one node per batch in postorder.  A batch's cherries share one
+pass: their T leaves, sorted, give the (leaf, ancestor) pairs of all their
+root paths in O(1) numpy calls, which are added into the cherry rows.
+Each other row keeps its few O(|T|) numpy passes (max(row a, row b), and
+D from where both are positive), while a batch makes one pass for the
+pair terms of all its D cells, one sparse table over them and one
+write-back: O(log |D|) numpy calls per batch rather than per row, whatever
+the shape of T.  A caterpillar S gets one-row batches.  A leaf row, 1 on
+the root path of its T leaf, is written where its parent finds that path.
 
 Cells are int16: a MAST size never exceeds the smaller leaf count, so the
 table is exact for trees below 2**15 leaves and takes 2 * |S| * |T| bytes,
-in a private mapping whose pages go back to the system when it is freed.
+in a private mapping, on huge pages where the kernel grants them, whose
+pages go back to the system when it is freed.
 `mast_dp` keeps the whole table, since its backtrack reads any cell.  A
 caller that needs only sizes asks for the root row (``root_only``), which
 the same fill computes in a pool of at most
@@ -147,7 +154,10 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     only at the nodes of T where both child rows are positive (see the
     module docstring).  Rows are filled in batches of rows whose children
     are done, and a row costs a few passes over T, while the raising of
-    all rows of a batch shares one sparse table.
+    all rows of a batch shares one sparse table.  A cherry's row counts, at
+    w, its two labels below w in T, for all cherries of a batch from one
+    set of root paths; a leaf's row is written from the root path its
+    parent's step finds.
 
     With ``root_only`` the result is row ``s.root`` alone, shape (1, |T|).
     The same fill then holds only the rows whose parent row is not done,
@@ -182,48 +192,48 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
         first.append(w if a < 0 else first[a])
     first = np.asarray(first, dtype=np.int64)
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
+    full = not root_only
 
-    def leaf_row(u, row):  # on a zeroed row
-        v = t_leaf_at.get(s.label[u], n)  # n: no common leaf, an empty range
-        row[v:][first[v:] <= v] = 1  # 1 at v and every node above it
+    if s.left[s.root] < 0:  # one leaf: 1 on the root path of its T leaf
+        row = np.zeros((1, n), dtype=cell)
+        v = t_leaf_at.get(s.label[s.root], n)  # n: no common leaf, an empty range
+        row[0, v:][first[v:] <= v] = 1
         return row
-
-    if s.left[s.root] < 0 and root_only:
-        return leaf_row(s.root, np.zeros((1, n), dtype=cell)[0])[None]
     # Row u of S lives in row slot[u] of the store.  The full table is its
     # own store.  With root_only the store is a pool of rows: a row holds
     # its slot until its parent's batch is done, and the free slots are kept
     # in descending order, so the new rows of a batch get ascending slots.
+    # The pool holds no leaf rows.
     store = _zeroed_rows(rows, n)
-    if root_only:
+    if full:
+        slot = range(len(s.label))
+    else:
         free = list(range(rows - 1, -1, -1))
         slot = [0] * len(s.label)
-    else:
-        free = None
-        slot = range(len(s.label))
-        for u, a in enumerate(s.left):
-            if a < 0:
-                leaf_row(u, store[u])
 
     for batch in _fill_order(s, block_leaves):
+        cherry_rows, cherry_leaves, cherry_at = [], [], []  # the batch's cherries
         row_u, row_a, row_b, ds = [], [], [], []  # the batch's general rows
         for u in batch:
             a, b = s.left[u], s.right[u]
             if s.left[a] < 0:  # a leaf child, if there is one, is b
                 a, b = b, a
+            if s.left[a] < 0:  # a cherry: counted with the batch's others
+                if not full:
+                    slot[u] = free.pop()
+                cherry_rows.append(slot[u])
+                cherry_leaves += (a, b)
+                cherry_at += (t_leaf_at.get(s.label[a], -1),
+                              t_leaf_at.get(s.label[b], -1))
+                continue
             if s.left[b] < 0:
                 # row b is 1 on the root path of b's T leaf v and 0 elsewhere,
                 # so row u is row a raised on that path: a path node w gets at
                 # least 1, and 1 + row a at the off-path child of each path
                 # node up to w.  Row u starts as row a, in place in the pool.
-                if free is None:
+                if full:
                     row = store[u]
                     row[:] = store[a]
-                elif s.left[a] < 0:  # a cherry: leaf rows are not held
-                    slot[u] = free.pop()
-                    row = store[slot[u]]
-                    row.fill(0)
-                    leaf_row(a, row)
                 else:
                     slot[u] = slot[a]
                     row = store[slot[u]]
@@ -235,11 +245,13 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
                     lift[0] = 1
                     np.add(row[off], 1, out=lift[1:])
                     row[path] = np.maximum(row[path], np.maximum.accumulate(lift))
+                    if full:
+                        store[b, path] = 1
                 continue
             # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only
             # if both rows are positive at w: those nodes are D.  Off D row u
             # is max(row a, row b), the terms (S_L, T) and (S_R, T).
-            if free is not None:
+            if not full:
                 slot[u] = free.pop()
             a, b = slot[a], slot[b]
             ds.append(np.logical_and(store[a], store[b]).nonzero()[0])
@@ -247,14 +259,57 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             row_u.append(slot[u])
             row_a.append(a)
             row_b.append(b)
+        if cherry_rows:
+            if not full:  # the pool hands out slots that held other rows
+                store[cherry_rows] = 0
+            leaf_rows = cherry_leaves if full else None
+            _fill_cherries(store, cherry_rows, leaf_rows, cherry_at, first)
         if ds:
             _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first)
-        if free is not None:  # the children's rows were read for the last time
+        if not full:  # the children's rows were read for the last time
             free += row_a + row_b
             free.sort(reverse=True)
     if root_only:
         return store[[slot[s.root]]]
     return store
+
+
+def _fill_cherries(store, rows, leaf_rows, at, first):
+    """The rows of one batch's cherries, from the root paths of their leaves.
+
+    A cherry's row counts, at each w, its labels whose T leaf lies in w's
+    subtree first(w)..w.  ``rows`` holds the store row of each cherry, and
+    ``at`` the T leaves of the labels of cherry i at 2i and 2i + 1 (-1 for a
+    label not in T).  ``leaf_rows``, unless None, holds the store rows of
+    those leaves, each set to 1 on its leaf's root path.  The cherry rows
+    start zeroed.
+
+    The T leaves, sorted, make every subtree's leaves one range of them, so
+    two searches over all ids give each w the batch leaves below it.  Those
+    (leaf, ancestor) pairs are the batch's root paths, in O(1) numpy calls
+    for any shape of T.  A label not in T sorts first and lies below no w.
+    """
+    import numpy as np
+    at = np.asarray(at)
+    order = np.argsort(at)
+    at = at[order]
+    n = store.shape[1]
+    ids = np.arange(n)
+    lo = np.searchsorted(at, first)
+    count = np.searchsorted(at, ids, side="right") - lo
+    w = np.repeat(ids, count)
+    # the sorted positions lo(w), lo(w) + 1, ... of the leaves below each w
+    leaf = np.arange(len(w)) - np.repeat(np.cumsum(count) - count - lo, count)
+    leaf = order[leaf]
+    flat = store.reshape(-1)
+    # both labels of a cherry may lie below w, so the cell counts them: the
+    # first labels add 1, then the second, and no cell repeats within either
+    cells = np.asarray(rows)[leaf >> 1] * n + w
+    second = (leaf & 1).astype(bool)
+    flat[cells[~second]] += 1
+    flat[cells[second]] += 1
+    if leaf_rows is not None:
+        flat[np.asarray(leaf_rows)[leaf] * n + w] = 1
 
 
 def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
@@ -304,15 +359,25 @@ def _zeroed_rows(rows: int, n: int) -> np.ndarray:
     The pages go back to the system when the array is freed.  A 2048-leaf
     table is just under glibc's 32 MiB cap on its mmap threshold, so from
     the heap a freed table would be carved up by later allocations and the
-    next table would grow the heap by its whole size.  Pages are mapped in
-    as the fill first writes them, so the pages of leaf rows that stay zero
-    are never resident; mapping all of them up front (MAP_POPULATE) saved
-    about 5 ms of page faults on a 2048-leaf table but held 0.5 MB more.
+    next table would grow the heap by its whole size.  The kernel is asked
+    to back the mapping with huge pages, since a fill writes nearly every
+    page of it.  On a 2-core Linux 6.18 host, touching every page of a
+    2048-leaf table (33.5 MB) took about 20 ms of page faults on 4 KB pages
+    and 6-8 ms with the advice, which put 30 MB of it on 2 MB pages; a
+    process filling that table peaked 2.5 MB higher (59.7 against 62.2 MB).
+    Where the advice is missing or refused, pages are mapped 4 KB at a time
+    as the fill writes them.
     """
     import mmap
 
     import numpy as np
     pages = mmap.mmap(-1, rows * n * 2, flags=mmap.MAP_PRIVATE)
+    advice = getattr(mmap, "MADV_HUGEPAGE", None)
+    if advice is not None:
+        try:
+            pages.madvise(advice)
+        except OSError:  # no transparent huge pages in this kernel
+            pass
     return np.frombuffer(pages, dtype=np.int16).reshape(rows, n)
 
 

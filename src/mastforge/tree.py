@@ -63,9 +63,11 @@ class Tree:
     :meth:`from_nested` validates a nested form.  The constructor trusts
     the tuples and the ``height`` it is given; :meth:`subtree` and
     :meth:`restrict` call it directly, as their labels are the host's,
-    already validated, and so does ``newick.parse``, whose reader admits
-    only legal, distinct labels and binary nodes.  Instances are never mutated afterwards, so they are
-    safe to share between threads and to use as cache keys (by identity).
+    already validated, and so do ``newick.parse``, whose reader admits
+    only legal, distinct labels and binary nodes, and :func:`make_balanced`,
+    which checks each label once.  Instances are never mutated afterwards,
+    so they are safe to share between threads and to use as cache keys (by
+    identity).
     """
 
     __slots__ = (
@@ -296,6 +298,10 @@ class Tree:
 def make_balanced(height: int, labels: Sequence[str]) -> Tree:
     """A balanced tree of the given ``height`` whose leaves, left to right,
     carry ``labels`` in order.  Requires ``len(labels) == 2**height``.
+
+    The postorder tuples are built directly, with no nested form.  Illegal
+    or repeated text labels are refused with the messages of
+    :meth:`Tree.from_nested`, at the same first offender.
     """
     if height < 0:
         raise TreeError("height must be non-negative")
@@ -304,10 +310,30 @@ def make_balanced(height: int, labels: Sequence[str]) -> Tree:
             f"balanced tree of height {height} needs {1 << height} labels, "
             f"got {len(labels)}"
         )
-    level: list[object] = list(labels)
-    while len(level) > 1:
-        level = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return Tree.from_nested(level[0])
+    # Postorder: after the i-th leaf (from 1) come the roots of the subtrees
+    # it completes, one of 2**j leaves for each j >= 1 with 2**j dividing i.
+    # Such a root has its right child just before it and its left child
+    # 2**j ids before it, past the right subtree's 2**j - 1 nodes.
+    left: list[int] = []
+    right: list[int] = []
+    label: list[str | None] = []
+    seen: set[str] = set()
+    for i, lab in enumerate(labels, 1):
+        validate_label(lab)
+        if lab in seen:
+            raise TreeError(f"duplicate leaf label {lab!r}")
+        seen.add(lab)
+        left.append(-1)
+        right.append(-1)
+        label.append(lab)
+        span = 2
+        while not i % span:
+            v = len(label)
+            left.append(v - span)
+            right.append(v - 1)
+            label.append(None)
+            span <<= 1
+    return Tree(tuple(left), tuple(right), tuple(label), height)
 
 
 def make_caterpillar(labels: Sequence[str]) -> Tree:

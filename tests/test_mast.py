@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import mmap
 import random
 import sys
 
@@ -395,6 +396,31 @@ class TestRowStep:
         assert_both_modes_match_oracle(s, t)
 
 
+    @pytest.mark.parametrize("block_leaves", [1, 2, 3, 8])
+    def test_one_batch_of_cherries_sharing_ancestors(self, block_leaves, monkeypatch):
+        # S's four cherries are one batch when a block holds all 8 leaves,
+        # and one cherry a batch otherwise, with pool slots handed out again.
+        # In T the cherries' leaves interleave below shared ancestors, g and
+        # h are absent, and a cherry with both labels in T counts 2.
+        s = make_balanced(3, list("abcdefgh"))
+        t = Tree.from_nested(((("a", "c"), ("b", "x")), (("e", "d"), ("f", "y"))))
+        monkeypatch.setattr(mast_module, "BATCH_CELLS", block_leaves * len(t.label))
+        cherries = [2, 5, 9, 12]
+        assert (cherries in mast_module._fill_order(s, block_leaves)) == (block_leaves == 8)
+        assert max(naive_mast_table(s, t)[2]) == 2
+        assert_both_modes_match_oracle(s, t)
+
+    def test_leaf_rows_under_root_path_rows_and_cherries(self):
+        # leaf rows written from a cherry's root paths (a, b, e, f) and from
+        # a root-path row's path (c, d, g), with c and f absent from T
+        s = Tree.from_nested(((("a", "b"), "c"), (("d", ("e", "f")), "g")))
+        t = random_tree(random.Random(74), ["a", "b", "d", "e", "g", "x", "y"])
+        table = naive_mast_table(s, t)
+        leaves = [u for u, lab in enumerate(s.label) if lab is not None]
+        assert all(any(table[u]) == (s.label[u] not in "cf") for u in leaves)
+        assert_table_matches_oracle(s, t)
+
+
 class TestPinnedWitnesses:
     """The witness and its agreement tree, as the fill and the tie-break
     order produce them today, on the pairs the results rest on."""
@@ -426,6 +452,23 @@ class TestPinnedWitnesses:
         assert sorted(result.witness_labels) == labels
         written = serialize(result.agreement_tree).encode()
         assert hashlib.sha256(written).hexdigest() == digest
+
+
+class TestHugePages:
+    # sha256 of the golden pair's full table: the pages the table is mapped
+    # on must not change a cell
+    GOLDEN = "1631df52f3f93a883f632cdef4894bb3f47ac98f6b7d2539f3b60760d95f835e"
+
+    @pytest.mark.parametrize("advice", ["granted", "missing", "refused"])
+    def test_golden_table_with_or_without_the_advice(
+        self, advice, golden_s, golden_t, monkeypatch
+    ):
+        if advice == "missing":  # an mmap module without MADV_HUGEPAGE
+            monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+        elif advice == "refused":  # madvise fails with EINVAL
+            monkeypatch.setattr(mmap, "MADV_HUGEPAGE", -1, raising=False)
+        table = mast_size_matrix(golden_s, golden_t)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == self.GOLDEN
 
 
 class TestTableBudget:

@@ -254,6 +254,15 @@ def nested_restrict(tree: Tree, labels) -> Tree:
     return Tree.from_nested(vals[-1])
 
 
+def nested_balanced(height: int, labels) -> Tree:
+    """A balanced tree through the nested form and ``Tree.from_nested``: an
+    independent route to the tuples ``make_balanced`` builds directly."""
+    level = list(labels)
+    for _ in range(height):
+        level = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+    return Tree.from_nested(level[0])
+
+
 def fields(tree: Tree):
     return tree.left, tree.right, tree.label, tree.height
 
@@ -265,8 +274,34 @@ def deep_hosts():
 
 
 class TestTupleBuilders:
-    """``subtree`` and ``restrict`` build tuples directly; they must equal
-    what the nested route builds, child order and height included."""
+    """``subtree``, ``restrict`` and ``make_balanced`` build tuples directly;
+    they must equal what the nested route builds, child order and height
+    included."""
+
+    def test_balanced_matches_nested_route(self):
+        rng = random.Random(63)
+        for height in range(12):
+            labels = [f"x{i}" for i in range(1 << height)]
+            rng.shuffle(labels)
+            expected = fields(nested_balanced(height, labels))
+            assert fields(make_balanced(height, labels)) == expected
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["a", "b", "a", "c"],
+            ["a", "b", "c", "b"],
+            ["a", "b c", "a", "d"],  # an illegal label before a repeat
+            ["a", "a", "", "d"],  # a repeat before an illegal label
+            ["a", "b", "c", "d;"],
+        ],
+    )
+    def test_balanced_refuses_labels_as_nested_route(self, labels):
+        with pytest.raises(TreeError) as nested:
+            nested_balanced(2, labels)
+        with pytest.raises(TreeError) as direct:
+            make_balanced(2, labels)
+        assert str(direct.value) == str(nested.value)
 
     def test_subtree_matches_nested_route_on_random_trees(self):
         rng = random.Random(60)
