@@ -29,10 +29,14 @@ pair term can exceed that maximum only there.  D is closed upward:
   compacted postorder ids (Bender & Farach-Colton, LATIN 2000), in which
   the part of D in a subtree first(w)..w is one id range.
 
-Rows are filled in batches whose child rows are all done: inside each
-block, a maximal pendant subtree of S with at most
-max(1, BATCH_CELLS // |T|) leaves, the nodes of one height; above the
-blocks, one node per batch in postorder.  A batch's cherries share one
+One schedule, `_fill_order`, places every row and fills rows in batches
+whose child rows are all done: inside each block, a maximal pendant
+subtree of S, the nodes of one height; above the blocks, one node per
+batch in postorder.  A block's leaves bound what its mode holds.  In the
+full table that is a batch's root-path and D cells, at most
+(its leaves) x (height(T) + 1), so a block has at most
+max(1, BATCH_CELLS // (height(T) + 1)) leaves; for the root row it is the
+rows held, so max(1, BATCH_CELLS // |T|).  A batch's cherries share one
 pass: their T leaves, sorted, give the (leaf, ancestor) pairs of all their
 root paths in O(1) numpy calls, which are added into the cherry rows.
 Each other row keeps its few O(|T|) numpy passes (max(row a, row b), and
@@ -48,8 +52,9 @@ in a private mapping, on huge pages where the kernel grants them, whose
 pages go back to the system when it is freed.
 `mast_dp` keeps the whole table, since its backtrack reads any cell.  A
 caller that needs only sizes asks for the root row (``root_only``), which
-the same fill computes in a pool of at most
-max(1, BATCH_CELLS // |T|) + height(S) + 2 rows, so memory is
+the same fill computes holding only the rows still to be read: the
+schedule counts them exactly, at most
+max(1, BATCH_CELLS // |T|) + height(S) + 2, so memory is
 O(BATCH_CELLS + |T| * height(S)).  Both modes refuse, before allocating,
 inputs whose rows would not fit in physical memory or whose sizes int16
 cannot hold.
@@ -60,18 +65,17 @@ listed above, so repeated runs return identical witnesses.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .tree import Tree
 
 BRUTEFORCE_LIMIT = 16
 
-# Cells of T-rows a block of the fill may span: a block of S has at most
-# max(1, BATCH_CELLS // |T|) leaves (see _fill_order), so a root-row fill
-# holds about 1 MB of rows beyond height(S) + 2.
+# Cells a block of S may span in each mode (see the module docstring): a
+# root-row fill then holds about 1 MB of rows beyond height(S) + 2.
 BATCH_CELLS = 1 << 19
 
 
@@ -94,50 +98,59 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _fill_order(s: Tree, block_leaves: int) -> list[list[int]]:
-    """S's internal nodes in fill order, as batches whose child rows are
-    all filled before the batch starts.
+def _fill_order(s: Tree, block_leaves: int, root_only: bool):
+    """Where and when the fill makes each row of S: ``(batches, slot, rows)``.
 
-    A block is a maximal pendant subtree of S with at most ``block_leaves``
-    leaves.  A block gives one batch per height, lowest first, scheduled
-    just before its root's parent; each node above the blocks is a batch of
-    its own, in postorder.
+    ``batches`` lists S's internal nodes as batches whose child rows are all
+    filled before the batch starts.  A block is a maximal pendant subtree of
+    S with at most ``block_leaves`` leaves.  A block gives one batch per
+    height, lowest first, scheduled just before its root's parent; each node
+    above the blocks is a batch of its own, in postorder.
+
+    Row u lives in row ``slot[u]`` of a store of ``rows`` rows.  The full
+    table is its own store.  For the root row alone the store holds the
+    internal rows whose parent's batch is not done: each takes the lowest
+    free store row, and its child rows are freed when its batch is done, so
+    the rows of a batch ascend.  ``rows`` is then the most held at once.
     """
     span = 2 * block_leaves - 2  # u - first(u) at a subtree of that many leaves
     first: list[int] = []
     height: list[int] = []
-    pending: list[int] = []  # nodes of blocks not scheduled yet, in postorder
     batches: list[list[int]] = []
 
-    def close(nodes):  # one block's nodes, grouped by height
-        if nodes:
-            levels = [[] for _ in range(height[nodes[-1]])]
-            for u in nodes:
+    def block(c):  # the block rooted at c, one batch per height
+        levels = [[] for _ in range(height[c])]
+        for u in range(first[c], c + 1):
+            if height[u]:
                 levels[height[u] - 1].append(u)
-            batches.extend(levels)
+        batches.extend(levels)
 
     for u, (a, b) in enumerate(zip(s.left, s.right)):
-        if a < 0:
-            first.append(u)
-            height.append(0)
-            continue
-        f = first[a]
-        first.append(f)
-        ha, hb = height[a], height[b]
-        height.append(1 + (ha if ha > hb else hb))
-        if u - f <= span:
-            pending.append(u)
-            continue
-        # u is above the blocks: a child that roots a block closes it here.
-        # Pending nodes below f belong to blocks hanging off u's ancestors.
-        i = bisect_left(pending, f)
-        j = bisect_left(pending, a + 1, i)
-        close(pending[i:j])
-        close(pending[j:])
-        del pending[i:]
-        batches.append([u])
-    close(pending)  # S is one block
-    return batches
+        first.append(u if a < 0 else first[a])
+        height.append(0 if a < 0 else 1 + max(height[a], height[b]))
+        if u - first[u] > span:  # u is above the blocks
+            for c in (a, b):
+                if c - first[c] <= span:
+                    block(c)
+            batches.append([u])
+    if s.root - first[s.root] <= span:  # S is one block
+        block(s.root)
+    if not root_only:
+        return batches, range(len(s.label)), len(s.label)
+    slot = [0] * len(s.label)
+    free: list[int] = []
+    rows = 0
+    for batch in batches:
+        for u in batch:
+            if free:
+                slot[u] = heapq.heappop(free)
+            else:
+                slot[u], rows = rows, rows + 1
+        for u in batch:  # the child rows were read for the last time
+            for c in (s.left[u], s.right[u]):
+                if s.left[c] >= 0:
+                    heapq.heappush(free, slot[c])
+    return batches, slot, rows
 
 
 def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray:
@@ -153,33 +166,38 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     Each row is made from its two child rows: it is their maximum, raised
     only at the nodes of T where both child rows are positive (see the
     module docstring).  Rows are filled in batches of rows whose children
-    are done, and a row costs a few passes over T, while the raising of
+    are done, from blocks of S sized per mode by what each holds (see
+    BATCH_CELLS), and a row costs a few passes over T, while the raising of
     all rows of a batch shares one sparse table.  A cherry's row counts, at
     w, its two labels below w in T, for all cherries of a batch from one
     set of root paths; a leaf's row is written from the root path its
     parent's step finds.
 
     With ``root_only`` the result is row ``s.root`` alone, shape (1, |T|).
-    The same fill then holds only the rows whose parent row is not done,
-    in a pool of at most max(1, BATCH_CELLS // |T|) + ``s.height`` + 2
-    rows: about 1 MB for balanced trees.
+    The same fill then holds only the rows whose parent's batch is not
+    done, as many as `_fill_order` counts, at most
+    max(1, BATCH_CELLS // |T|) + ``s.height`` + 2: 100 rows, 0.82 MB, for
+    the golden 2048-leaf pair, and 2 for a caterpillar S.
 
     Raises ValueError, before allocating anything, if both trees have 2**15
     leaves or more, or if the rows held need more than this machine's
     physical memory.
     """
     n = len(t.label)
-    block_leaves = max(1, BATCH_CELLS // n)
-    rows = len(s.label)
-    if root_only:
-        rows = min(rows, block_leaves + s.height + 2)
+    if min(s.size, t.size) >= 1 << 15:
+        raise ValueError(
+            f"a MAST table for {s.size} and {t.size} leaves needs fewer than "
+            f"{1 << 15} leaves in the smaller tree"
+        )
+    full = not root_only
+    block_leaves = max(1, BATCH_CELLS // (t.height + 1 if full else n))
+    batches, slot, rows = _fill_order(s, block_leaves, root_only)
     need = rows * n * 2
     budget = _physical_memory_bytes()
-    if min(s.size, t.size) >= 1 << 15 or need > budget:
+    if need > budget:
         raise ValueError(
             f"a MAST table for {s.size} and {t.size} leaves needs "
-            f"{need / 1e9:.3g} GB; the limits are {budget / 1e9:.3g} GB and "
-            f"fewer than {1 << 15} leaves in the smaller tree"
+            f"{need / 1e9:.3g} GB; the limit is {budget / 1e9:.3g} GB"
         )
     import numpy as np
     cell = np.int16
@@ -192,26 +210,16 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
         first.append(w if a < 0 else first[a])
     first = np.asarray(first, dtype=np.int64)
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
-    full = not root_only
 
     if s.left[s.root] < 0:  # one leaf: 1 on the root path of its T leaf
         row = np.zeros((1, n), dtype=cell)
         v = t_leaf_at.get(s.label[s.root], n)  # n: no common leaf, an empty range
         row[0, v:][first[v:] <= v] = 1
         return row
-    # Row u of S lives in row slot[u] of the store.  The full table is its
-    # own store.  With root_only the store is a pool of rows: a row holds
-    # its slot until its parent's batch is done, and the free slots are kept
-    # in descending order, so the new rows of a batch get ascending slots.
-    # The pool holds no leaf rows.
+    # Row u of S lives in row slot[u] of the store (see _fill_order).  The
+    # root row's store holds no leaf rows.
     store = _zeroed_rows(rows, n)
-    if full:
-        slot = range(len(s.label))
-    else:
-        free = list(range(rows - 1, -1, -1))
-        slot = [0] * len(s.label)
-
-    for batch in _fill_order(s, block_leaves):
+    for batch in batches:
         cherry_rows, cherry_leaves, cherry_at = [], [], []  # the batch's cherries
         row_u, row_a, row_b, ds = [], [], [], []  # the batch's general rows
         for u in batch:
@@ -219,8 +227,6 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             if s.left[a] < 0:  # a leaf child, if there is one, is b
                 a, b = b, a
             if s.left[a] < 0:  # a cherry: counted with the batch's others
-                if not full:
-                    slot[u] = free.pop()
                 cherry_rows.append(slot[u])
                 cherry_leaves += (a, b)
                 cherry_at += (t_leaf_at.get(s.label[a], -1),
@@ -230,13 +236,9 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
                 # row b is 1 on the root path of b's T leaf v and 0 elsewhere,
                 # so row u is row a raised on that path: a path node w gets at
                 # least 1, and 1 + row a at the off-path child of each path
-                # node up to w.  Row u starts as row a, in place in the pool.
-                if full:
-                    row = store[u]
-                    row[:] = store[a]
-                else:
-                    slot[u] = slot[a]
-                    row = store[slot[u]]
+                # node up to w.
+                row = store[slot[u]]
+                row[:] = store[slot[a]]
                 v = t_leaf_at.get(s.label[b])
                 if v is not None:
                     path = v + (first[v:] <= v).nonzero()[0]
@@ -251,8 +253,6 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only
             # if both rows are positive at w: those nodes are D.  Off D row u
             # is max(row a, row b), the terms (S_L, T) and (S_R, T).
-            if not full:
-                slot[u] = free.pop()
             a, b = slot[a], slot[b]
             ds.append(np.logical_and(store[a], store[b]).nonzero()[0])
             np.maximum(store[a], store[b], out=store[slot[u]])
@@ -260,15 +260,12 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             row_a.append(a)
             row_b.append(b)
         if cherry_rows:
-            if not full:  # the pool hands out slots that held other rows
+            if not full:  # the root row's store hands out rows again
                 store[cherry_rows] = 0
             leaf_rows = cherry_leaves if full else None
             _fill_cherries(store, cherry_rows, leaf_rows, cherry_at, first)
         if ds:
             _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first)
-        if not full:  # the children's rows were read for the last time
-            free += row_a + row_b
-            free.sort(reverse=True)
     if root_only:
         return store[[slot[s.root]]]
     return store

@@ -13,10 +13,19 @@ import random
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from mastforge import Tree, TreeError, make_balanced, make_caterpillar, parse
+from mastforge import (
+    Tree,
+    TreeError,
+    make_balanced,
+    make_caterpillar,
+    mast_size_matrix,
+    parse,
+)
+from mastforge import mast as mast_module
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -38,6 +47,17 @@ def golden_s() -> Tree:
 @pytest.fixture(scope="session")
 def golden_t() -> Tree:
     return parse((DATA_DIR / "balanced2048_t.nwk").read_text())
+
+
+def fill_in_blocks(block_leaves, s, t):
+    """Both modes' fills, with blocks of at most ``block_leaves`` leaves of S:
+    BATCH_CELLS is divided by height(T) + 1 for the full table and by |T|
+    for the root row."""
+    with mock.patch.object(mast_module, "BATCH_CELLS", block_leaves * (t.height + 1)):
+        table = mast_size_matrix(s, t)
+    with mock.patch.object(mast_module, "BATCH_CELLS", block_leaves * len(t.label)):
+        root = mast_size_matrix(s, t, root_only=True)
+    return table, root
 
 
 def traced_peak(fn) -> int:

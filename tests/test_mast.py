@@ -23,6 +23,7 @@ from mastforge import mast as mast_module
 
 from conftest import (
     displayed_triple,
+    fill_in_blocks,
     naive_mast_size,
     naive_mast_table,
     random_overlapping_pair,
@@ -298,15 +299,15 @@ class TestRootRow:
         assert traced_peak(lambda: mast_size_matrix(golden_s, golden_t)) < 40e6
 
     def test_root_row_holds_few_rows(self, golden_s, golden_t):
-        # height 11: a pool of at most 141 rows of 4095 cells, 1.15 MB
+        # 100 rows of 4095 cells, 0.82 MB, are held at once
         peak = traced_peak(lambda: mast_size_matrix(golden_s, golden_t, root_only=True))
         assert peak < 2e6
 
 
     def test_rows_held(self, golden_s, golden_t, monkeypatch):
         # the rows live in a private mapping, which tracemalloc does not see:
-        # every row of S for the full table, a pool of 2**19 // 4095 +
-        # height + 2 rows for the root row
+        # every row of S for the full table, and for the root row the most
+        # rows held at once: 100, within 2**19 // 4095 + height + 2 = 141
         shapes = []
         zeroed_rows = mast_module._zeroed_rows
 
@@ -317,7 +318,32 @@ class TestRootRow:
         monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
         assert mast_size_matrix(golden_s, golden_t).nbytes == 4095 * 4095 * 2
         mast_size_matrix(golden_s, golden_t, root_only=True)
-        assert shapes == [(4095, 4095), (141, 4095)]
+        assert shapes == [(4095, 4095), (100, 4095)]
+
+    def test_caterpillar_s_holds_few_rows(self, monkeypatch):
+        # a caterpillar's row needs only its child's: a spine of 2047 rows
+        # is filled in at most 3 store rows
+        labels = [str(i) for i in range(2048)]
+        s, t = make_caterpillar(labels), make_balanced(11, labels[::-1])
+        shapes = []
+        zeroed_rows = mast_module._zeroed_rows
+
+        def recording(rows, n):
+            shapes.append(rows)
+            return zeroed_rows(rows, n)
+
+        monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
+        root = mast_size_matrix(s, t, root_only=True)
+        assert shapes[0] <= 3
+        assert root.tolist() == [mast_size_matrix(s, t)[s.root].tolist()]
+
+    def test_full_fill_transients_bounded_by_blocks(self):
+        # balanced S against caterpillar T: a batch's path and D cells grow
+        # with (its leaves) x (height(T) + 1), so S is split into blocks;
+        # as one block the fill traces 74 MB, in blocks about 17 MB
+        labels = [str(i) for i in range(2048)]
+        s, t = make_balanced(11, labels), make_caterpillar(labels[::-1])
+        assert traced_peak(lambda: mast_size_matrix(s, t)) < 40e6
 
 
 def assert_both_modes_match_oracle(s, t):
@@ -390,25 +416,30 @@ class TestRowStep:
         # and h, so the second has no D while the first's D branches
         s = Tree.from_nested(((("a", "b"), ("c", "d")), (("e", "f"), ("g", "h"))))
         t = Tree.from_nested(((("a", "c"), ("b", "d")), ("e", "f")))
-        assert [6, 13] in mast_module._fill_order(s, 8)
+        assert [6, 13] in mast_module._fill_order(s, 8, False)[0]
         assert both_positive(s, t, 13) == []
         assert not is_chain(t, both_positive(s, t, 6))
         assert_both_modes_match_oracle(s, t)
 
 
     @pytest.mark.parametrize("block_leaves", [1, 2, 3, 8])
-    def test_one_batch_of_cherries_sharing_ancestors(self, block_leaves, monkeypatch):
+    def test_one_batch_of_cherries_sharing_ancestors(self, block_leaves):
         # S's four cherries are one batch when a block holds all 8 leaves,
-        # and one cherry a batch otherwise, with pool slots handed out again.
-        # In T the cherries' leaves interleave below shared ancestors, g and
-        # h are absent, and a cherry with both labels in T counts 2.
+        # and one cherry a batch otherwise, with the root row's store rows
+        # handed out again.  In T the cherries' leaves interleave below
+        # shared ancestors, g and h are absent, and a cherry with both labels
+        # in T counts 2.
         s = make_balanced(3, list("abcdefgh"))
         t = Tree.from_nested(((("a", "c"), ("b", "x")), (("e", "d"), ("f", "y"))))
-        monkeypatch.setattr(mast_module, "BATCH_CELLS", block_leaves * len(t.label))
         cherries = [2, 5, 9, 12]
-        assert (cherries in mast_module._fill_order(s, block_leaves)) == (block_leaves == 8)
-        assert max(naive_mast_table(s, t)[2]) == 2
-        assert_both_modes_match_oracle(s, t)
+        for root_only in (False, True):
+            batches = mast_module._fill_order(s, block_leaves, root_only)[0]
+            assert (cherries in batches) == (block_leaves == 8)
+        naive = naive_mast_table(s, t)
+        assert max(naive[2]) == 2
+        table, root = fill_in_blocks(block_leaves, s, t)
+        assert table.tolist() == naive
+        assert root.tolist() == [naive[s.root]]
 
     def test_leaf_rows_under_root_path_rows_and_cherries(self):
         # leaf rows written from a cherry's root paths (a, b, e, f) and from
@@ -482,16 +513,16 @@ class TestTableBudget:
             assert traced_peak(fill) < 1e6
 
     def test_over_budget_refused(self, golden_s, golden_t, monkeypatch):
-        # the root row holds a pool of 2**19 // 4095 + height + 2 = 141 rows
-        # of 4095 two-byte cells; the full table all 4095 rows, 33.5 MB
-        rows_bytes = 141 * 4095 * 2
+        # the root row holds at most 100 rows of 4095 two-byte cells at
+        # once; the full table all 4095 rows, 33.5 MB
+        rows_bytes = 100 * 4095 * 2
         monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes)
         with pytest.raises(ValueError, match=r"2048 and 2048 leaves needs 0\.0335 GB"):
             mast_size_matrix(golden_s, golden_t)
         root = mast_size_matrix(golden_s, golden_t, root_only=True)
         assert root[0, golden_t.root] == 32
         monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes - 1)
-        with pytest.raises(ValueError, match="leaves needs 0.00115 GB"):
+        with pytest.raises(ValueError, match=r"leaves needs 0\.000819 GB"):
             mast_size_matrix(golden_s, golden_t, root_only=True)
 
 

@@ -5,8 +5,6 @@ Runs are derandomized and use no example database, so every run of the
 suite checks the same examples.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +20,13 @@ from mastforge import (
 )
 from mastforge import mast as mast_module
 
-from conftest import naive_mast_size, naive_mast_table, relabel, shuffle_children
+from conftest import (
+    fill_in_blocks,
+    naive_mast_size,
+    naive_mast_table,
+    relabel,
+    shuffle_children,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, derandomize=True, database=None, deadline=None
@@ -168,15 +172,43 @@ class TestSizeTable:
         assert table.tolist() == naive_mast_table(s, t)
         assert mast_size_matrix(s, t, root_only=True).tolist() == [table[s.root].tolist()]
 
-    # blocks of at most 1, 2 or 3 leaves: S splits into many blocks, and
-    # the root-row pool hands each slot out again and again
+    # blocks of at most 1, 2 or 3 leaves in both modes: S splits into many
+    # blocks, and the root row's store hands each row out again and again
     @pytest.mark.parametrize("block_leaves", [1, 2, 3])
     @PROPERTY_SETTINGS
     @given(SHAPED_TREES, SHAPED_TREES)
     def test_every_cell_matches_naive_recursion_in_small_blocks(self, block_leaves, s, t):
-        cells = block_leaves * len(t.label)
-        with mock.patch.object(mast_module, "BATCH_CELLS", cells):
-            table = mast_size_matrix(s, t)
-            root = mast_size_matrix(s, t, root_only=True)
+        table, root = fill_in_blocks(block_leaves, s, t)
         assert table.tolist() == naive_mast_table(s, t)
         assert root.tolist() == [table[s.root].tolist()]
+
+
+class TestFillOrder:
+    @pytest.mark.parametrize("block_leaves", [1, 2, 3, 8])
+    @PROPERTY_SETTINGS
+    @given(SHAPED_TREES)
+    def test_schedule(self, block_leaves, s):
+        # every child row is filled in an earlier batch, no two live rows
+        # share a store row, a batch's general rows ascend (as _fill_d
+        # needs), and the root row holds at most B + height(S) + 2 rows
+        internal = [u for u, a in enumerate(s.left) if a >= 0]
+        for root_only in (False, True):
+            batches, slot, rows = mast_module._fill_order(s, block_leaves, root_only)
+            assert sorted(u for batch in batches for u in batch) == internal
+            done, live = set(), set()  # live: filled, parent's batch not done
+            for batch in batches:
+                children = [c for u in batch for c in (s.left[u], s.right[u])]
+                children = [c for c in children if s.left[c] >= 0]
+                assert done.issuperset(children)
+                general = [slot[u] for u in batch
+                           if s.left[s.left[u]] >= 0 and s.left[s.right[u]] >= 0]
+                assert all(x < y for x, y in zip(general, general[1:]))
+                live.update(batch)
+                held = {slot[u] for u in live}
+                assert len(held) == len(live) and max(held) < rows
+                live.difference_update(children)
+                done.update(batch)
+            if root_only:
+                assert rows <= block_leaves + s.height + 2
+            else:
+                assert list(slot) == list(range(len(s.label))) == list(range(rows))
