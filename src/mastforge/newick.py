@@ -1,11 +1,14 @@
 """Newick reading and writing for strictly binary leaf-labelled trees.
 
-Grammar (ASCII whitespace between tokens is skipped on input, never emitted
-on output):
+Grammar (whitespace between tokens, any character for which
+``str.isspace()`` is true, is skipped on input and never emitted on output):
 
     tree    := subtree ';'
     subtree := LABEL | '(' subtree ',' subtree ')'
     LABEL   := one or more characters excluding '(' ')' ',' ';' and whitespace
+
+``parse`` reads the text as tokens, each one delimiter or one maximal run
+of label characters, in a single pass.
 
 Multifurcations, branch lengths, comments and quoted labels are rejected
 rather than guessed at; every parse error carries the 0-based position of
@@ -14,7 +17,13 @@ the offending character.
 
 from __future__ import annotations
 
-from .tree import RESERVED_LABEL_CHARS, Tree
+import re
+
+from .tree import Tree
+
+# one delimiter, or one maximal run of label characters; whatever lies
+# between tokens is whitespace (`\s` is exactly what `str.isspace` accepts)
+_TOKEN = re.compile(r"[(),;]|[^(),;\s]+")
 
 
 class NewickError(ValueError):
@@ -25,33 +34,10 @@ class NewickError(ValueError):
         self.position = position
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
-
-
-def _read_label(text: str, i: int) -> tuple[str, int]:
-    start = i
-    while i < len(text):
-        ch = text[i]
-        if ch in RESERVED_LABEL_CHARS or ch.isspace():
-            break
-        i += 1
-    if i == start:
-        raise NewickError(f"expected a leaf label or '(', found {text[i]!r}", i)
-    return text[start:i], i
-
-
 def parse(text: str) -> Tree:
     """Parse a single Newick tree.  Raises :class:`NewickError` on malformed
     input; duplicate leaf labels are rejected naming the label.
     """
-    n = len(text)
-    i = _skip_ws(text, 0)
-    if i >= n:
-        raise NewickError("empty input", 0)
-
     # Subtrees complete in postorder (a leaf when read, a node at its ')'),
     # so each takes the next node id as it completes.  Each open '(' pushes
     # a frame holding the ids of the children finished so far.
@@ -60,83 +46,68 @@ def parse(text: str) -> Tree:
     labels: list[str | None] = []
     heights: list[int] = []
     frames: list[list[int]] = []
-    seen: dict[str, int] = {}
-    node = -1  # id of the most recently completed subtree
+    seen: set[str] = set()
+    node = -1  # the subtree just completed, or -1 while one is due
 
-    while True:
-        i = _skip_ws(text, i)
-        if i >= n:
-            raise NewickError(
-                f"unexpected end of input with {len(frames)} unclosed '('"
-                if frames
-                else "unexpected end of input; missing ';'",
-                n,
-            )
-        ch = text[i]
-        if ch == "(":
-            frames.append([])
-            i += 1
-            continue
-        label, i = _read_label(text, i)
-        if label in seen:
-            raise NewickError(f"duplicate leaf label {label!r}", i - len(label))
-        seen[label] = i - len(label)
-        node = len(labels)
-        left.append(-1)
-        right.append(-1)
-        labels.append(label)
-        heights.append(0)
-
-        # fold completed subtrees into enclosing frames
-        while True:
-            i = _skip_ws(text, i)
-            if not frames:
-                if i >= n:
-                    raise NewickError("missing terminal ';'", n)
-                if text[i] != ";":
-                    msg = (
-                        "unbalanced ')'"
-                        if text[i] == ")"
-                        else f"expected ';', found {text[i]!r}"
-                    )
-                    raise NewickError(msg, i)
-                i += 1
-                i = _skip_ws(text, i)
-                if i < n:
-                    raise NewickError("trailing characters after ';'", i)
-                # _read_label admits only legal labels and `seen` refuses
-                # repeats, so the tuples need no second validation
-                return Tree(tuple(left), tuple(right), tuple(labels), heights[-1])
-            if i >= n:
+    for m in _TOKEN.finditer(text):
+        tok, i = m.group(), m.start()
+        if node < 0:  # a subtree is due: '(' or a leaf label
+            if tok == "(":
+                frames.append([])
+                continue
+            if tok in ",);":
+                raise NewickError(f"expected a leaf label or '(', found {tok!r}", i)
+            if tok in seen:
+                raise NewickError(f"duplicate leaf label {tok!r}", i)
+            seen.add(tok)
+            node = len(labels)
+            left.append(-1)
+            right.append(-1)
+            labels.append(tok)
+            heights.append(0)
+        elif not frames:  # the whole tree is read: only ';' may follow
+            if tok != ";":
                 raise NewickError(
-                    f"unexpected end of input with {len(frames)} unclosed '('", n
+                    "unbalanced ')'" if tok == ")" else f"expected ';', found {tok[0]!r}",
+                    i,
                 )
-            if text[i] == ",":
-                if len(frames[-1]) >= 1:
-                    raise NewickError(
-                        "multifurcation: a node may have only two children", i
-                    )
-                frames[-1].append(node)
-                i += 1
-                break  # back to parsing the next subtree
-            if text[i] == ")":
-                frame = frames.pop()
-                if len(frame) != 1:
-                    raise NewickError(
-                        "expected ',' before ')': every internal node needs "
-                        "exactly two children",
-                        i,
-                    )
-                a = frame[0]
-                left.append(a)
-                right.append(node)
-                labels.append(None)
-                ha, hb = heights[a], heights[node]
-                heights.append(1 + (ha if ha > hb else hb))
-                node = len(labels) - 1
-                i += 1
-                continue  # the joined pair may itself close a frame
-            raise NewickError(f"expected ',' or ')', found {text[i]!r}", i)
+            extra = _TOKEN.search(text, m.end())
+            if extra:
+                raise NewickError("trailing characters after ';'", extra.start())
+            # the token pattern admits only legal labels and `seen` refuses
+            # repeats, so the tuples need no second validation
+            return Tree(tuple(left), tuple(right), tuple(labels), heights[-1])
+        elif tok == ",":
+            if frames[-1]:
+                raise NewickError(
+                    "multifurcation: a node may have only two children", i
+                )
+            frames[-1].append(node)
+            node = -1
+        elif tok == ")":
+            frame = frames.pop()
+            if not frame:
+                raise NewickError(
+                    "expected ',' before ')': every internal node needs "
+                    "exactly two children",
+                    i,
+                )
+            a = frame[0]
+            left.append(a)
+            right.append(node)
+            labels.append(None)
+            ha, hb = heights[a], heights[node]
+            heights.append(1 + (ha if ha > hb else hb))
+            node = len(labels) - 1
+        else:
+            raise NewickError(f"expected ',' or ')', found {tok[0]!r}", i)
+
+    n = len(text)
+    if frames:
+        raise NewickError(f"unexpected end of input with {len(frames)} unclosed '('", n)
+    if labels:
+        raise NewickError("missing terminal ';'", n)
+    raise NewickError("empty input", 0)
 
 
 def serialize(tree: Tree) -> str:
@@ -152,8 +123,9 @@ def serialize(tree: Tree) -> str:
 
 
 def read_file(path: str) -> Tree:
-    """Parse a one-tree Newick file (UTF-8)."""
-    with open(path, encoding="utf-8") as fh:
+    """Parse a one-tree Newick file (UTF-8, a leading byte-order mark
+    dropped)."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 

@@ -165,6 +165,16 @@ class TestMast:
         assert code == 1 and not out
         assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
 
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        bom, plain = tmp_path / "bom.nwk", tmp_path / "ab.nwk"
+        bom.write_bytes(b"\xef\xbb\xbf(a,b);")
+        plain.write_text("(a,b);")
+        witness = tmp_path / "w.nwk"
+        code, out, err = run(capsys, "mast", str(bom), str(plain), "--witness", str(witness))
+        assert (code, json.loads(out), err) == (0, 2, "")
+        # the witness is written as plain UTF-8, without a mark
+        assert witness.read_bytes() in (b"(a,b);\n", b"(b,a);\n")
+
     def test_missing_file(self, tmp_path, capsys):
         good = tmp_path / "good.nwk"
         good.write_text("(a,b);\n")

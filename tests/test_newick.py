@@ -1,12 +1,12 @@
 """Newick parsing and serialization, including the 2048-leaf golden pair."""
 
 import random
-import re
 
 import pytest
 
 from mastforge import NewickError, Tree, make_caterpillar, parse, serialize
 from mastforge import tree as tree_module
+from mastforge.tree import RESERVED_LABEL_CHARS
 
 from conftest import DATA_DIR, random_tree, shuffle_children, traced_peak
 
@@ -52,6 +52,46 @@ class TestParseErrors:
             parse(text)
         assert fragment in str(err.value)
         assert isinstance(err.value.position, int) and err.value.position >= 0
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("", "empty input", 0),
+            (" \t\n\u3000", "empty input", 0),
+            ("(", "unexpected end of input with 1 unclosed '('", 1),
+            ("((a,", "unexpected end of input with 2 unclosed '('", 4),
+            ("((a,b) ", "unexpected end of input with 1 unclosed '('", 7),
+            ("(,a);", "expected a leaf label or '(', found ','", 1),
+            ("( );", "expected a leaf label or '(', found ')'", 2),
+            ("(;", "expected a leaf label or '(', found ';'", 1),
+            ("((a,b),(a,c));", "duplicate leaf label 'a'", 8),
+            ("(ab,(b,\u3000ab));", "duplicate leaf label 'ab'", 8),
+            ("(a,b)", "missing terminal ';'", 5),
+            ("a \n", "missing terminal ';'", 3),
+            ("a)b;", "unbalanced ')'", 1),
+            ("a,b;", "expected ';', found ','", 1),
+            ("a(b);", "expected ';', found '('", 1),
+            ("a\x1cbc;", "expected ';', found 'b'", 2),
+            ("\ufeff(a,b);", "expected ';', found '('", 1),
+            ("(a,b); x", "trailing characters after ';'", 7),
+            ("a;;", "trailing characters after ';'", 2),
+            ("(a,b,c);", "multifurcation: a node may have only two children", 4),
+            (
+                "(a);",
+                "expected ',' before ')': every internal node needs "
+                "exactly two children",
+                2,
+            ),
+            ("(a,(b,c);", "expected ',' or ')', found ';'", 8),
+            ("(a\u3000bc,d);", "expected ',' or ')', found 'b'", 3),
+            ("(a (b,c));", "expected ',' or ')', found '('", 3),
+        ],
+    )
+    def test_every_error_message_and_position(self, text, message, position):
+        with pytest.raises(NewickError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
     def test_multifurcation_position_points_at_second_comma(self):
         with pytest.raises(NewickError) as err:
@@ -113,11 +153,29 @@ class TestGoldenPair:
             assert parse(serialize(tree)).is_isomorphic(tree)
 
 
+def _oracle_tokens(text: str) -> list[str]:
+    """Newick tokens read a character at a time: a delimiter, or a maximal
+    run of characters neither reserved nor whitespace."""
+    tokens, label = [], ""
+    for ch in text:
+        if ch in RESERVED_LABEL_CHARS or ch.isspace():
+            if label:
+                tokens.append(label)
+                label = ""
+            if not ch.isspace():
+                tokens.append(ch)
+        else:
+            label += ch
+    if label:
+        tokens.append(label)
+    return tokens
+
+
 def nested_parse(text: str):
     """The nested form of a Newick text, read token by token: an
     independent route to the tuples ``parse`` builds in its one walk."""
     stack: list = [[]]
-    for token in re.findall(r"[(),;]|[^(),;\s]+", text):
+    for token in _oracle_tokens(text):
         if token == "(":
             stack.append([])
         elif token == ")":
@@ -165,3 +223,19 @@ class TestOneWalk:
         monkeypatch.setattr(tree_module, "validate_label", counting)
         assert parse(text).size == 64
         assert calls == []
+
+    def test_random_text_matches_nested_route_or_fails_in_range(self):
+        # short texts over delimiters, two label letters and whitespace
+        # that is ASCII (tab, newline) or not (\x1c, \x85), plus a label
+        # letter outside ASCII; most fail, a few hundred parse
+        alphabet = "(),;ab\t\n\x1c\xe9\x85"
+        rng = random.Random(20)
+        parsed = 0
+        for _ in range(20_000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 14)))
+            try:
+                assert_matches_nested_route(text)
+                parsed += 1
+            except NewickError as err:
+                assert 0 <= err.position <= len(text)
+        assert parsed > 100
