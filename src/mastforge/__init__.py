@@ -31,7 +31,6 @@ from .construct import (
     make_anticaterpillar_pair,
     overlap_instance,
     pack_caterpillars,
-    perfect_packing,
     verify_counterexample,
 )
 from .mast import MastResult, mast_bruteforce, mast_dp, mast_size_matrix
@@ -75,7 +74,6 @@ __all__ = [
     "overlap_instance",
     "pack_caterpillars",
     "parse",
-    "perfect_packing",
     "serialize",
     "sixth_root",
     "verify_counterexample",

@@ -163,36 +163,6 @@ def pack_caterpillars(n: int) -> PackingPlan:
     return PackingPlan(n - 1, tuple(tuple(cat) for cat in cats), unused)
 
 
-def perfect_packing(k: int) -> PackingPlan:
-    """The perfect case: 2**(2**k - k - 1) caterpillars of size 2**k cover
-    every leaf of the balanced shape of height 2**k - 1.  This is the one
-    tile of ``_tiled_packing(2**k - 1, k)``: ``pack_caterpillars`` checks the
-    count against ``a_of_n`` and the plan rejects any non-partition.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return _tiled_packing((1 << k) - 1, k)
-
-
-def _tiled_packing(height: int, cat_exponent: int) -> PackingPlan:
-    """Perfectly pack a height-``height`` shape with caterpillars of size
-    2**cat_exponent by repeating the base packing in each pendant subtree of
-    height 2**cat_exponent - 1.  Requires height >= 2**cat_exponent - 1.
-    """
-    size = 1 << cat_exponent
-    if size - 1 > height:
-        raise ValueError(
-            f"caterpillars of size {size} do not fit a host of height {height}"
-        )
-    base = pack_caterpillars(size)
-    stride = 1 << (size - 1)
-    cats: list[tuple[int, ...]] = []
-    for tile in range(1 << (height - (size - 1))):
-        off = tile * stride
-        cats.extend(tuple(p + off for p in cat) for cat in base.caterpillars)
-    return PackingPlan(height, tuple(cats))
-
-
 # ----------------------------------------------------------------------
 # label grid
 # ----------------------------------------------------------------------
@@ -289,6 +259,7 @@ class CounterexamplePair:
     whose MAST size is exactly 2**(2**k - k).  Both ``n`` and
     ``expected_mast`` are functions of k, read from
     ``counterexample_parameters``; the trees must have n leaves each.
+    A k above ``MAX_BUILDABLE_K`` is refused before n is computed.
     """
 
     k: int
@@ -304,6 +275,12 @@ class CounterexamplePair:
         return counterexample_parameters(self.k)["expected_mast"]
 
     def __post_init__(self):
+        # n is a 2**(k+1)-bit number: refuse before computing it
+        if self.k > MAX_BUILDABLE_K:
+            raise ValueError(
+                f"k={self.k} is too large; pairs are only verified up "
+                f"to k={MAX_BUILDABLE_K}"
+            )
         for name, tree in (("s", self.s), ("t", self.t)):
             if tree.size != self.n:
                 raise TreeError(f"tree {name} has {tree.size} leaves, expected {self.n}")
@@ -317,8 +294,9 @@ def build_counterexample(k: int) -> CounterexamplePair:
     """Construct the pair for parameter k (trees materialized up to k=3).
 
     This is the grid pair ``build_overlap_pair(h1, h2)`` at h2 = 2**k - 1
-    and h2 - h1 = k, where each depth-h1 pendant subtree is packed perfectly
-    by the caterpillars of ``perfect_packing(k)``.
+    and h2 - h1 = k, where each depth-h1 pendant subtree, of height
+    2**k - 1, is covered by the 2**(2**k - k - 1) caterpillars of
+    ``pack_caterpillars(2**k)``.
     """
     if k > MAX_BUILDABLE_K:
         raise ValueError(
@@ -337,15 +315,26 @@ def build_overlap_pair(h1: int, h2: int) -> tuple[Tree, Tree]:
     restricting to anti-caterpillars.  Needs 2**(h2-h1) <= h2 + 1 so the
     caterpillars fit each subtree.
 
-    Each subtree is tiled perfectly by 2**(h2-h1)-caterpillars, so it holds
-    exactly 2**h1 of them, one per block of its row.  Subtree i of the
-    first tree writes block (i, j) into caterpillar j in forward order;
-    subtree j of the second writes block (i, j) into caterpillar i reversed.
+    Each subtree is tiled perfectly by 2**(h2-h1)-caterpillars, repeating
+    ``pack_caterpillars(2**(h2-h1))`` in each of its pendant subtrees of
+    height 2**(h2-h1) - 1, so it holds exactly 2**h1 of them, one per block
+    of its row.  Subtree i of the first tree writes block (i, j) into
+    caterpillar j in forward order; subtree j of the second writes block
+    (i, j) into caterpillar i reversed.
     """
     grid = LabelGrid(h1, h2)
-    cats = _tiled_packing(h2, h2 - h1).caterpillars
+    size = grid.block_size
+    if size - 1 > h2:
+        raise ValueError(
+            f"caterpillars of size {size} do not fit a host of height {h2}"
+        )
     side = 1 << h1
     subtree_leaves = 1 << h2
+    base = pack_caterpillars(size).caterpillars
+    tiles = range(0, subtree_leaves, 1 << (size - 1))
+    cats = PackingPlan(
+        h2, tuple(tuple(p + off for p in cat) for off in tiles for cat in base)
+    ).caterpillars
     s_labels: list[str] = []
     t_labels: list[str] = []
     for a in range(1, side + 1):
@@ -398,9 +387,9 @@ def choose_k_for_c(c: float) -> int:
 # ----------------------------------------------------------------------
 
 def _pendant_blocks(s: Tree, t: Tree, s_depth: int, t_depth: int):
-    """The pendant-subtree leaf sets of ``s`` and ``t`` at the given depths,
-    the overlap of subtree i of ``s`` with subtree j of ``t`` keyed by (i, j),
-    and each nonempty overlap restricted once in each of its two subtrees.
+    """The overlap of pendant subtree i of ``s`` with pendant subtree j of
+    ``t`` at the given depths, keyed by (i, j), and each nonempty overlap
+    restricted once in each of its two subtrees.
     """
     s_subs = s.pendant_subtrees_at_depth(s_depth)
     t_subs = t.pendant_subtrees_at_depth(t_depth)
@@ -414,7 +403,7 @@ def _pendant_blocks(s: Tree, t: Tree, s_depth: int, t_depth: int):
         for (i, j), block in blocks.items()
         if block
     }
-    return s_sets, t_sets, blocks, restricted
+    return blocks, restricted
 
 
 def _anticaterpillar_record(restricted: dict, pairs: int) -> CheckRecord:
@@ -443,7 +432,7 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
     side = 1 << h1
 
     # the partition and anti-caterpillar checks both read these restrictions
-    s_sets, t_sets, blocks, restricted = _pendant_blocks(pair.s, pair.t, h1, h1)
+    blocks, restricted = _pendant_blocks(pair.s, pair.t, h1, h1)
 
     checks: list[CheckRecord] = []
     overlap_sizes = {len(block) for block in blocks.values()}
@@ -456,25 +445,18 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
         )
     )
 
-    def packed(own: frozenset[str], cells, which: int) -> bool:
-        """True iff the blocks at ``cells`` are nonempty, disjoint, cover
-        ``own`` and each restricts to a caterpillar on side ``which``."""
-        covered: set[str] = set()
-        for cell in cells:
-            block = blocks[cell]
-            if not block or covered & block:
-                return False
-            covered |= block
-            if restricted[cell][which].caterpillar_order() is None:
-                return False
-        return covered == own
+    def packed(cells, which: int) -> bool:
+        """True iff the blocks at ``cells`` are nonempty and each restricts
+        to a caterpillar on side ``which``.  The pair has one label set and
+        each tree's pendant subtrees partition it, so a row's (or column's)
+        blocks are disjoint and cover its subtree."""
+        return all(
+            blocks[cell] and restricted[cell][which].caterpillar_order() is not None
+            for cell in cells
+        )
 
-    s_ok = sum(
-        packed(s_sets[i], [(i, j) for j in range(side)], 0) for i in range(side)
-    )
-    t_ok = sum(
-        packed(t_sets[j], [(i, j) for i in range(side)], 1) for j in range(side)
-    )
+    s_ok = sum(packed([(i, j) for j in range(side)], 0) for i in range(side))
+    t_ok = sum(packed([(i, j) for i in range(side)], 1) for j in range(side))
     checks.append(
         CheckRecord(
             "caterpillar_partitions",
@@ -543,9 +525,7 @@ def check_upper_bound_lemma(s: Tree, t: Tree, p: int, q: int) -> VerificationRep
     if not shape_ok:
         return bail()
 
-    _, _, blocks, restricted = _pendant_blocks(
-        s, t, p.bit_length() - 1, q.bit_length() - 1
-    )
+    blocks, restricted = _pendant_blocks(s, t, p.bit_length() - 1, q.bit_length() - 1)
     overlaps = {len(block) for block in blocks.values()}
     overlap_ok = len(overlaps) == 1 and 0 not in overlaps
     checks.append(

@@ -44,7 +44,6 @@ def parse(text: str) -> Tree:
     left: list[int] = []
     right: list[int] = []
     labels: list[str | None] = []
-    heights: list[int] = []
     frames: list[list[int]] = []
     seen: set[str] = set()
     node = -1  # the subtree just completed, or -1 while one is due
@@ -64,7 +63,6 @@ def parse(text: str) -> Tree:
             left.append(-1)
             right.append(-1)
             labels.append(tok)
-            heights.append(0)
         elif not frames:  # the whole tree is read: only ';' may follow
             if tok != ";":
                 raise NewickError(
@@ -76,7 +74,7 @@ def parse(text: str) -> Tree:
                 raise NewickError("trailing characters after ';'", extra.start())
             # the token pattern admits only legal labels and `seen` refuses
             # repeats, so the tuples need no second validation
-            return Tree(tuple(left), tuple(right), tuple(labels), heights[-1])
+            return Tree(tuple(left), tuple(right), tuple(labels))
         elif tok == ",":
             if frames[-1]:
                 raise NewickError(
@@ -92,12 +90,9 @@ def parse(text: str) -> Tree:
                     "exactly two children",
                     i,
                 )
-            a = frame[0]
-            left.append(a)
+            left.append(frame[0])
             right.append(node)
             labels.append(None)
-            ha, hb = heights[a], heights[node]
-            heights.append(1 + (ha if ha > hb else hb))
             node = len(labels) - 1
         else:
             raise NewickError(f"expected ',' or ')', found {tok[0]!r}", i)

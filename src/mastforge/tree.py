@@ -61,18 +61,19 @@ class Tree:
     * ``label[v]`` is the leaf label, ``None`` at an internal node.
 
     :meth:`from_nested` validates a nested form.  The constructor trusts
-    the tuples and the ``height`` it is given; :meth:`subtree` and
-    :meth:`restrict` call it directly, as their labels are the host's,
-    already validated, and so do ``newick.parse``, whose reader admits
-    only legal, distinct labels and binary nodes, and :func:`make_balanced`,
-    which checks each label once.  Instances are never mutated afterwards,
-    so they are safe to share between threads and to use as cache keys (by
-    identity).
+    the tuples it is given; :meth:`subtree` and :meth:`restrict` call it
+    directly, as their labels are the host's, already validated, and so do
+    ``newick.parse``, whose reader admits only legal, distinct labels and
+    binary nodes, and :func:`make_balanced`, which checks each label once.
+    The :attr:`height` is derived from the tuples when first read.
+    Instances are never mutated afterwards (the cached height, leaf set and
+    canonical form are filled in once), so they are safe to share between
+    threads and to use as cache keys (by identity).
     """
 
     __slots__ = (
-        "left", "right", "label", "root", "size", "height",
-        "_leaf_set", "_canonical",
+        "left", "right", "label", "root", "size",
+        "_height", "_leaf_set", "_canonical",
     )
 
     def __init__(
@@ -80,14 +81,13 @@ class Tree:
         left: tuple[int, ...],
         right: tuple[int, ...],
         label: tuple[str | None, ...],
-        height: int,
     ):
         self.left = left
         self.right = right
         self.label = label
         self.root = len(label) - 1
         self.size = (len(label) + 1) // 2
-        self.height = height
+        self._height: int | None = None
         self._leaf_set: frozenset[str] | None = None
         self._canonical: str | None = None
 
@@ -105,7 +105,6 @@ class Tree:
         left: list[int] = []
         right: list[int] = []
         label: list[str | None] = []
-        heights: list[int] = []
         seen: set[str] = set()
         done: list[int] = []  # ids of completed subtrees
         stack: list[tuple[object, bool]] = [(nested, False)]
@@ -120,7 +119,6 @@ class Tree:
                 left.append(-1)
                 right.append(-1)
                 label.append(item)
-                heights.append(0)
             elif expanded:
                 b = done.pop()
                 a = done.pop()
@@ -128,7 +126,6 @@ class Tree:
                 left.append(a)
                 right.append(b)
                 label.append(None)
-                heights.append(1 + max(heights[a], heights[b]))
             else:
                 if not (isinstance(item, tuple) and len(item) == 2):
                     raise TreeError(
@@ -138,11 +135,26 @@ class Tree:
                 stack.append((item, True))
                 stack.append((item[1], False))
                 stack.append((item[0], False))
-        return cls(tuple(left), tuple(right), tuple(label), heights[-1])
+        return cls(tuple(left), tuple(right), tuple(label))
 
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
+
+    @property
+    def height(self) -> int:
+        """Edges on a longest root-to-leaf path: one fold over the ids, on
+        first read."""
+        if self._height is None:
+            heights: list[int] = []
+            for a, b in zip(self.left, self.right):  # postorder
+                if a < 0:
+                    heights.append(0)
+                else:  # twice as fast as max() on 2048 leaves
+                    x, y = heights[a], heights[b]
+                    heights.append(1 + (x if x > y else y))
+            self._height = heights[-1]
+        return self._height
 
     def leaf_set(self) -> frozenset[str]:
         """The set of leaf labels."""
@@ -157,13 +169,6 @@ class Tree:
     def is_balanced(self) -> bool:
         """True iff the tree has 2**height leaves (all leaves at one depth)."""
         return self.size == 1 << self.height
-
-    def to_nested(self):
-        """Return the nested form (labels and pairs) of this tree."""
-        vals: list[object] = []
-        for a, b, lab in zip(self.left, self.right, self.label):  # postorder
-            vals.append(lab if a < 0 else (vals[a], vals[b]))
-        return vals[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tree leaves={self.size} height={self.height}>"
@@ -183,10 +188,7 @@ class Tree:
         ids = slice(first, node_id + 1)
         left = tuple(a - first if a >= 0 else -1 for a in self.left[ids])
         right = tuple(b - first if b >= 0 else -1 for b in self.right[ids])
-        heights: list[int] = []
-        for a, b in zip(left, right):
-            heights.append(0 if a < 0 else 1 + max(heights[a], heights[b]))
-        return Tree(left, right, self.label[ids], heights[-1])
+        return Tree(left, right, self.label[ids])
 
     def pendant_subtrees_at_depth(self, depth: int) -> list["Tree"]:
         """The 2**depth pendant subtrees rooted at ``depth``, left to right.
@@ -220,7 +222,6 @@ class Tree:
         left: list[int] = []
         right: list[int] = []
         label: list[str | None] = []
-        heights: list[int] = []
         new: list[int] = []  # host id -> id of the kept node it reduces to, or -1
         for a, b, lab in zip(self.left, self.right, self.label):
             if a < 0:
@@ -228,19 +229,16 @@ class Tree:
                     new.append(-1)
                     continue
                 x = y = -1
-                height = 0
             else:
                 x, y = new[a], new[b]
                 if x < 0 or y < 0:  # reduces to its one kept side, if any
                     new.append(x if y < 0 else y)
                     continue
-                height = 1 + max(heights[x], heights[y])
             new.append(len(label))
             left.append(x)
             right.append(y)
             label.append(lab)
-            heights.append(height)
-        return Tree(tuple(left), tuple(right), tuple(label), heights[-1])
+        return Tree(tuple(left), tuple(right), tuple(label))
 
     def canonical_form(self) -> str:
         """Deterministic string equal for two trees iff they are isomorphic
@@ -333,7 +331,7 @@ def make_balanced(height: int, labels: Sequence[str]) -> Tree:
             right.append(v - 1)
             label.append(None)
             span <<= 1
-    return Tree(tuple(left), tuple(right), tuple(label), height)
+    return Tree(tuple(left), tuple(right), tuple(label))
 
 
 def make_caterpillar(labels: Sequence[str]) -> Tree:

@@ -124,6 +124,33 @@ def shuffle_children(tree: Tree, rng: random.Random) -> Tree:
 # independent oracles
 # ----------------------------------------------------------------------
 
+def nested_forms(tree: Tree) -> list:
+    """The nested form of the subtree at every node id (postorder fold)."""
+    forms: list = []
+    for a, b, lab in zip(tree.left, tree.right, tree.label):
+        forms.append(lab if a < 0 else (forms[a], forms[b]))
+    return forms
+
+
+def to_nested(tree: Tree):
+    """The nested form (labels and pairs) of ``tree``."""
+    return nested_forms(tree)[-1]
+
+
+def nested_height(nested) -> int:
+    """The deepest leaf's depth in a nested form, by a walk from the root
+    that shares nothing with ``Tree.height``'s fold over postorder ids.
+    Iterative, so caterpillars of any height are measured."""
+    deepest, stack = 0, [(nested, 0)]
+    while stack:
+        item, depth = stack.pop()
+        if isinstance(item, str):
+            deepest = max(deepest, depth)
+        else:
+            stack.extend((child, depth + 1) for child in item)
+    return deepest
+
+
 def nested_isomorphic(a, b) -> bool:
     """Unordered rooted isomorphism on nested forms by direct matching."""
     if isinstance(a, str) or isinstance(b, str):

@@ -28,7 +28,6 @@ from mastforge import (
     overlap_instance,
     pack_caterpillars,
     parse,
-    perfect_packing,
     serialize,
     verify_counterexample,
 )
@@ -110,7 +109,7 @@ def test_criterion_5_packing_counts():
             labels = [f"p{p}" for p in cat]
             assert host.restrict(labels).is_isomorphic(make_caterpillar(labels))
     for k in range(1, 5):
-        plan = perfect_packing(k)
+        plan = pack_caterpillars(1 << k)
         assert not plan.unused_positions, f"k={k}"
         covered = {p for cat in plan.caterpillars for p in cat}
         assert covered == set(range(1 << ((1 << k) - 1))), f"k={k}"

@@ -1,12 +1,14 @@
 """Packing counts, label grids, the counterexample family, and verifiers."""
 
 import hashlib
+import json
 import math
 
 import mpmath
 import pytest
 
 from mastforge import (
+    CounterexamplePair,
     LabelGrid,
     PackingError,
     Tree,
@@ -24,7 +26,6 @@ from mastforge import (
     mast_dp,
     overlap_instance,
     pack_caterpillars,
-    perfect_packing,
     serialize,
     verify_counterexample,
 )
@@ -150,17 +151,13 @@ class TestPacking:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_perfect_packing_partitions_all_leaves(self, k):
-        plan = perfect_packing(k)
         size = 1 << k
+        plan = pack_caterpillars(size)
         assert plan.count == 1 << (size - k - 1)
         assert not plan.unused_positions
         positions = [p for cat in plan.caterpillars for p in cat]
         assert len(positions) == len(set(positions)) == 1 << (size - 1)
         assert all(len(cat) == size for cat in plan.caterpillars)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_perfect_packing_is_the_packing_of_size_2_to_the_k(self, k):
-        assert perfect_packing(k).caterpillars == pack_caterpillars(1 << k).caterpillars
 
     def test_oversized_n_refused(self):
         from mastforge.construct import MAX_PACK_N
@@ -208,6 +205,65 @@ class TestAnticaterpillars:
         assert not is_anticaterpillar_pair(a, b)
 
 
+K2_OVERLAP = (
+    "pairwise_overlap", "every one of 4 subtree pairs shares 4 labels",
+    "overlap sizes seen: [4]", True,
+)
+K2_PARTITIONS = "all 4 pendant subtrees perfectly packed by 4-caterpillars"
+K2_ANTI = "all 4 restricted pairs are anti-caterpillars"
+
+# case: (k, the two labels swapped in the first tree or None, the records
+# of the report as (check, expected, observed, pass))
+PINNED_REPORTS = {
+    "k1": (1, None, [
+        ("pairwise_overlap", "every one of 1 subtree pairs shares 2 labels",
+         "overlap sizes seen: [2]", True),
+        ("caterpillar_partitions", "all 2 pendant subtrees perfectly packed by 2-caterpillars",
+         "1/1 on the first side, 1/1 on the second", True),
+        ("anticaterpillar_restrictions", "all 1 restricted pairs are anti-caterpillars",
+         "1/1 pairs", True),
+        ("mast_size", 2, 2, True),
+    ]),
+    "k2": (2, None, [
+        K2_OVERLAP,
+        ("caterpillar_partitions", K2_PARTITIONS, "2/2 on the first side, 2/2 on the second", True),
+        ("anticaterpillar_restrictions", K2_ANTI, "4/4 pairs", True),
+        ("mast_size", 4, 4, True),
+    ]),
+    "k3": (3, None, [
+        ("pairwise_overlap", "every one of 256 subtree pairs shares 8 labels",
+         "overlap sizes seen: [8]", True),
+        ("caterpillar_partitions", "all 32 pendant subtrees perfectly packed by 8-caterpillars",
+         "16/16 on the first side, 16/16 on the second", True),
+        ("anticaterpillar_restrictions", "all 256 restricted pairs are anti-caterpillars",
+         "256/256 pairs", True),
+        ("mast_size", 32, 32, True),
+        ("mast_below_sqrt_n", "mast < sqrt(2048) ~ 45.25", 32, True),
+    ]),
+    # 1 and 3 share the block {1, 2, 3, 4} of the first subtree
+    "k2_swap_inside_a_block": (2, ("1", "3"), [
+        K2_OVERLAP,
+        ("caterpillar_partitions", K2_PARTITIONS, "2/2 on the first side, 2/2 on the second", True),
+        ("anticaterpillar_restrictions", K2_ANTI, "3/4 pairs", False),
+        ("mast_size", 4, 5, False),
+    ]),
+    # 1 and 5 lie in the two blocks of the first subtree
+    "k2_swap_across_blocks": (2, ("1", "5"), [
+        K2_OVERLAP,
+        ("caterpillar_partitions", K2_PARTITIONS, "1/2 on the first side, 2/2 on the second", False),
+        ("anticaterpillar_restrictions", K2_ANTI, "2/4 pairs", False),
+        ("mast_size", 4, 5, False),
+    ]),
+    # 1 and 9 lie in the two subtrees
+    "k2_swap_across_subtrees": (2, ("1", "9"), [
+        K2_OVERLAP,
+        ("caterpillar_partitions", K2_PARTITIONS, "2/2 on the first side, 1/2 on the second", False),
+        ("anticaterpillar_restrictions", K2_ANTI, "2/4 pairs", False),
+        ("mast_size", 4, 6, False),
+    ]),
+}
+
+
 class TestCounterexample:
     def test_parameters(self):
         assert counterexample_parameters(1) == {
@@ -223,8 +279,6 @@ class TestCounterexample:
         assert (pair.n, pair.expected_mast) == (params["n"], params["expected_mast"])
 
     def test_pair_refuses_trees_of_the_wrong_size_for_k(self):
-        from mastforge import CounterexamplePair
-
         small = build_counterexample(2)
         with pytest.raises(TreeError, match="2048"):
             CounterexamplePair(3, small.s, small.t)
@@ -311,8 +365,6 @@ class TestCounterexample:
         assert len(calls) == 10
 
     def test_corrupted_pair_detected(self):
-        from mastforge import CounterexamplePair
-
         pair = build_counterexample(2)
         # swap two labels inside the first tree only
         mapping = {lab: lab for lab in pair.s.leaf_set()}
@@ -321,6 +373,33 @@ class TestCounterexample:
         report = verify_counterexample(corrupted)
         assert not report.passed
         assert any(not rec.passed for rec in report.checks), "at least one check must fail"
+
+    @pytest.mark.parametrize("case", PINNED_REPORTS)
+    def test_report_is_pinned(self, case):
+        k, swap, records = PINNED_REPORTS[case]
+        pair = build_counterexample(k)
+        if swap:
+            a, b = swap
+            mapping = {lab: lab for lab in pair.s.leaf_set()} | {a: b, b: a}
+            pair = CounterexamplePair(k, relabel(pair.s, mapping), pair.t)
+        checks = [dict(zip(("check", "expected", "observed", "pass"), r)) for r in records]
+        expected = {"pass": all(c["pass"] for c in checks), "checks": checks}
+        assert verify_counterexample(pair).to_json() == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("k", [4, 13, 40])
+    def test_pair_refuses_large_k_before_computing_n(self, k, monkeypatch):
+        # n is a 2**(k+1)-bit number: past k=12 it cannot even be printed
+        import mastforge.construct as construct_mod
+
+        small = build_counterexample(1)
+
+        def forbidden(k):
+            raise AssertionError(f"counterexample_parameters({k}) was called")
+
+        monkeypatch.setattr(construct_mod, "counterexample_parameters", forbidden)
+        refusal = rf"^k={k} is too large; pairs are only verified up to k=3$"
+        with pytest.raises(ValueError, match=refusal):
+            CounterexamplePair(k, small.s, small.t)
 
     def test_large_k_rejected_with_guidance(self):
         with pytest.raises(ValueError, match="counterexample_parameters"):

@@ -8,7 +8,7 @@ from mastforge import NewickError, Tree, make_caterpillar, parse, serialize
 from mastforge import tree as tree_module
 from mastforge.tree import RESERVED_LABEL_CHARS
 
-from conftest import DATA_DIR, random_tree, shuffle_children, traced_peak
+from conftest import DATA_DIR, nested_height, random_tree, shuffle_children, traced_peak
 
 
 class TestParse:
@@ -187,14 +187,17 @@ def nested_parse(text: str):
 
 
 def assert_matches_nested_route(text: str):
-    got, want = parse(text), Tree.from_nested(nested_parse(text))
+    got = parse(text)  # a malformed text raises here, before the oracle reads it
+    nested = nested_parse(text)
+    want = Tree.from_nested(nested)
     assert (got.left, got.right, got.label, got.height) == (
-        want.left, want.right, want.label, want.height
+        want.left, want.right, want.label, nested_height(nested)
     )
 
 
 class TestOneWalk:
-    """``parse`` builds the postorder tuples and the height as it reads."""
+    """``parse`` builds the postorder tuples as it reads; the height follows
+    from them."""
 
     @pytest.mark.parametrize("name", ["balanced2048_s.nwk", "balanced2048_t.nwk"])
     def test_golden_trees_match_nested_route(self, name):

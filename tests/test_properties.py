@@ -24,8 +24,10 @@ from conftest import (
     fill_in_blocks,
     naive_mast_size,
     naive_mast_table,
+    nested_height,
     relabel,
     shuffle_children,
+    to_nested,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -84,17 +86,11 @@ def postorder(nested) -> list:
     return postorder(nested[0]) + postorder(nested[1]) + [nested]
 
 
-def height(nested) -> int:
-    if isinstance(nested, str):
-        return 0
-    return 1 + max(height(nested[0]), height(nested[1]))
-
-
 class TestLayout:
     @PROPERTY_SETTINGS
     @given(ANY_NESTED)
     def test_nested_round_trip(self, nested):
-        assert Tree.from_nested(nested).to_nested() == nested
+        assert to_nested(Tree.from_nested(nested)) == nested
 
     @PROPERTY_SETTINGS
     @given(ANY_NESTED)
@@ -109,9 +105,9 @@ class TestLayout:
         t = Tree.from_nested(nested)
         order = postorder(nested)
         assert t.leaf_labels_in_order() == [x for x in order if isinstance(x, str)]
-        assert [t.subtree(v).to_nested() for v in range(len(t.label))] == order
+        assert [to_nested(t.subtree(v)) for v in range(len(t.label))] == order
         heights = [t.subtree(v).height for v in range(len(t.label))]
-        assert heights == [height(x) for x in order]
+        assert heights == [nested_height(x) for x in order]
 
 
 class TestMastAlgebra:

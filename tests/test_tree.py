@@ -13,10 +13,13 @@ from conftest import (
     all_tree_shapes,
     displayed_triple,
     embeddings,
+    nested_forms,
+    nested_height,
     nested_isomorphic,
     random_tree,
     relabel,
     shuffle_children,
+    to_nested,
     traced_peak,
 )
 
@@ -147,7 +150,7 @@ class TestCanonicalForm:
         b = make_caterpillar(["4", "3", "2", "1"])
         assert not a.is_isomorphic(b)
         # cross-check with the exhaustive oracle
-        assert not nested_isomorphic(a.to_nested(), b.to_nested())
+        assert not nested_isomorphic(to_nested(a), to_nested(b))
 
     def test_invariant_under_child_shuffles(self):
         rng = random.Random(3)
@@ -229,16 +232,8 @@ class TestPendantSubtrees:
             t.subtree(node_id)
 
 
-def nested_forms(tree: Tree) -> list:
-    """The nested form of the subtree at every node id (postorder fold)."""
-    forms: list = []
-    for a, b, lab in zip(tree.left, tree.right, tree.label):
-        forms.append(lab if a < 0 else (forms[a], forms[b]))
-    return forms
-
-
-def nested_restrict(tree: Tree, labels) -> Tree:
-    """Restriction through a nested form and ``Tree.from_nested``: an
+def nested_restrict(tree: Tree, labels):
+    """The nested form of the restriction, folded over the host: an
     independent route to the tuples ``Tree.restrict`` builds directly."""
     wanted = frozenset(labels)
     vals: list = []
@@ -251,20 +246,27 @@ def nested_restrict(tree: Tree, labels) -> Tree:
                 vals.append((va, vb))
             else:
                 vals.append(va if va is not None else vb)
-    return Tree.from_nested(vals[-1])
+    return vals[-1]
 
 
-def nested_balanced(height: int, labels) -> Tree:
-    """A balanced tree through the nested form and ``Tree.from_nested``: an
-    independent route to the tuples ``make_balanced`` builds directly."""
+def nested_balanced(height: int, labels):
+    """The nested form of a balanced tree: an independent route to the
+    tuples ``make_balanced`` builds directly."""
     level = list(labels)
     for _ in range(height):
         level = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return Tree.from_nested(level[0])
+    return level[0]
 
 
 def fields(tree: Tree):
     return tree.left, tree.right, tree.label, tree.height
+
+
+def nested_fields(nested):
+    """What a tree of this nested form holds: the tuples ``Tree.from_nested``
+    builds, and the height by the independent walk of ``nested_height``."""
+    tree = Tree.from_nested(nested)
+    return tree.left, tree.right, tree.label, nested_height(nested)
 
 
 def deep_hosts():
@@ -275,15 +277,15 @@ def deep_hosts():
 
 class TestTupleBuilders:
     """``subtree``, ``restrict`` and ``make_balanced`` build tuples directly;
-    they must equal what the nested route builds, child order and height
-    included."""
+    they must equal what the nested route builds, child order included, and
+    the height derived from them must equal the nested form's."""
 
     def test_balanced_matches_nested_route(self):
         rng = random.Random(63)
         for height in range(12):
             labels = [f"x{i}" for i in range(1 << height)]
             rng.shuffle(labels)
-            expected = fields(nested_balanced(height, labels))
+            expected = nested_fields(nested_balanced(height, labels))
             assert fields(make_balanced(height, labels)) == expected
 
     @pytest.mark.parametrize(
@@ -298,7 +300,7 @@ class TestTupleBuilders:
     )
     def test_balanced_refuses_labels_as_nested_route(self, labels):
         with pytest.raises(TreeError) as nested:
-            nested_balanced(2, labels)
+            Tree.from_nested(nested_balanced(2, labels))
         with pytest.raises(TreeError) as direct:
             make_balanced(2, labels)
         assert str(direct.value) == str(nested.value)
@@ -309,13 +311,13 @@ class TestTupleBuilders:
             tree = random_tree(rng, [f"x{i}" for i in range(rng.randint(1, 30))])
             forms = nested_forms(tree)
             for v in range(len(tree.label)):
-                assert fields(tree.subtree(v)) == fields(Tree.from_nested(forms[v]))
+                assert fields(tree.subtree(v)) == nested_fields(forms[v])
 
     def test_subtree_matches_nested_route_on_deep_caterpillars(self):
         for host in deep_hosts():
             forms = nested_forms(host)
             for v in [*range(0, host.root, 97), host.root]:
-                assert fields(host.subtree(v)) == fields(Tree.from_nested(forms[v]))
+                assert fields(host.subtree(v)) == nested_fields(forms[v])
 
     def test_restrict_matches_nested_route_on_random_trees(self):
         rng = random.Random(61)
@@ -323,7 +325,7 @@ class TestTupleBuilders:
             labels = [f"x{i}" for i in range(rng.randint(1, 30))]
             tree = random_tree(rng, labels)
             kept = rng.sample(labels, rng.randint(1, len(labels)))
-            assert fields(tree.restrict(kept)) == fields(nested_restrict(tree, kept))
+            assert fields(tree.restrict(kept)) == nested_fields(nested_restrict(tree, kept))
 
     def test_restrict_matches_nested_route_on_deep_caterpillars(self):
         rng = random.Random(62)
@@ -331,7 +333,11 @@ class TestTupleBuilders:
             labels = sorted(host.leaf_set())
             for k in (1, 2, 16, 1000, 2000):
                 kept = rng.sample(labels, k)
-                assert fields(host.restrict(kept)) == fields(nested_restrict(host, kept))
+                assert fields(host.restrict(kept)) == nested_fields(nested_restrict(host, kept))
+
+    def test_height_is_derived_from_hand_built_tuples(self):
+        cat = make_caterpillar([f"l{i}" for i in range(2000)])
+        assert Tree(cat.left, cat.right, cat.label).height == 1999
 
     def test_labels_are_not_revalidated(self, monkeypatch):
         calls = []
