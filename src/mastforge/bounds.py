@@ -76,9 +76,7 @@ def beta_of_delta(delta: float) -> float:
     return (1 + 2 * one_minus) / (one_minus - math.log2(delta))
 
 
-def maximize_beta(
-    tolerance: float, lo: float | None = None, hi: float | None = None
-) -> tuple[float, float]:
+def maximize_beta(tolerance: float) -> tuple[float, float]:
     """Golden-section maximum of beta over its interval.
 
     A 1000-point grid scan first confirms the profile is empirically
@@ -88,10 +86,7 @@ def maximize_beta(
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    lo = 1e-12 if lo is None else lo
-    hi = DELTA_MAX - 1e-12 if hi is None else hi
-    if not 0 < lo < hi < DELTA_MAX:
-        raise ValueError(f"bracket [{lo}, {hi}] must lie inside (0, {DELTA_MAX})")
+    lo, hi = 1e-12, DELTA_MAX - 1e-12
 
     step = (hi - lo) / 999
     grid = [lo + i * step for i in range(999)] + [hi]
@@ -103,7 +98,7 @@ def maximize_beta(
         raise AssertionError("beta profile is not unimodal on the scanned grid")
 
     inv_phi = (math.sqrt(5) - 1) / 2
-    a, b = max(lo, grid[max(peak - 1, 0)]), min(hi, grid[min(peak + 1, len(grid) - 1)])
+    a, b = grid[max(peak - 1, 0)], grid[min(peak + 1, len(grid) - 1)]
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = beta_of_delta(x1), beta_of_delta(x2)

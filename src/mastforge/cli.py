@@ -114,12 +114,7 @@ def _cmd_verify(args) -> int:
     if args.s is None:
         pair = construct.build_counterexample(args.k)
     else:
-        # n is a 2**(k+1)-bit number: refuse before computing it
-        if args.k > construct.MAX_BUILDABLE_K:
-            raise ValueError(
-                f"k={args.k} is too large; pairs are only verified up "
-                f"to k={construct.MAX_BUILDABLE_K}"
-            )
+        construct.check_verifiable_k(args.k)  # before reading either file
         pair = construct.CounterexamplePair(
             args.k, _load_tree(args.s), _load_tree(args.t)
         )

@@ -215,18 +215,12 @@ def is_anticaterpillar_pair(a: Tree, b: Tree) -> bool:
     valid ordering of one is exactly the reverse of a valid ordering of the
     other (the cherry at each end may be swapped freely).
     """
-    oa = a.caterpillar_order()
-    ob = b.caterpillar_order()
-    if oa is None or ob is None or len(oa) != len(ob) or set(oa) != set(ob):
-        return False
-
-    def variants(order: list[str]) -> list[list[str]]:
-        if len(order) < 2:
-            return [order]
-        return [order, [order[1], order[0], *order[2:]]]
-
-    reversed_b = [list(reversed(v)) for v in variants(ob)]
-    return any(va == vb for va in variants(oa) for vb in reversed_b)
+    oa, ob = a.caterpillar_order(), b.caterpillar_order()
+    # reverse a's order under either order of its cherry, then sort the new
+    # cherry as caterpillar_order sorted b's
+    return oa is not None and any(
+        sorted(rev[:2]) + rev[2:] == ob for rev in (oa[::-1], oa[2:][::-1] + oa[:2])
+    )
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +247,15 @@ def counterexample_parameters(k: int) -> dict:
     }
 
 
+def check_verifiable_k(k: int) -> None:
+    """Refuse a k above ``MAX_BUILDABLE_K``, before n, a 2**(k+1)-bit
+    number, is computed."""
+    if k > MAX_BUILDABLE_K:
+        raise ValueError(
+            f"k={k} is too large; pairs are only verified up to k={MAX_BUILDABLE_K}"
+        )
+
+
 @dataclass(frozen=True)
 class CounterexamplePair:
     """A pair of balanced trees on the same n = 2**(2**(k+1)-k-2) labels
@@ -275,12 +278,7 @@ class CounterexamplePair:
         return counterexample_parameters(self.k)["expected_mast"]
 
     def __post_init__(self):
-        # n is a 2**(k+1)-bit number: refuse before computing it
-        if self.k > MAX_BUILDABLE_K:
-            raise ValueError(
-                f"k={self.k} is too large; pairs are only verified up "
-                f"to k={MAX_BUILDABLE_K}"
-            )
+        check_verifiable_k(self.k)
         for name, tree in (("s", self.s), ("t", self.t)):
             if tree.size != self.n:
                 raise TreeError(f"tree {name} has {tree.size} leaves, expected {self.n}")
@@ -494,14 +492,6 @@ def check_upper_bound_lemma(s: Tree, t: Tree, p: int, q: int) -> VerificationRep
     label overlaps equal and positive; every restricted pair forms
     anti-caterpillars.  If any hypothesis fails the bound is not asserted.
     """
-    checks: list[CheckRecord] = []
-
-    def bail() -> VerificationReport:
-        checks.append(
-            CheckRecord("mast_bound", "not asserted: hypotheses failed", None, False)
-        )
-        return VerificationReport(tuple(checks))
-
     shape_ok = (
         p >= 1
         and q >= 1
@@ -514,36 +504,32 @@ def check_upper_bound_lemma(s: Tree, t: Tree, p: int, q: int) -> VerificationRep
         and s.size // p == t.size // q
         and s.size // p >= 2
     )
-    checks.append(
+    checks = [
         CheckRecord(
             "pendant_decomposition",
             "balanced trees split into p and q equal subtrees of shared size >= 2",
             f"subtree sizes {s.size}/{p} and {t.size}/{q}",
             shape_ok,
         )
-    )
-    if not shape_ok:
-        return bail()
-
-    blocks, restricted = _pendant_blocks(s, t, p.bit_length() - 1, q.bit_length() - 1)
-    overlaps = {len(block) for block in blocks.values()}
-    overlap_ok = len(overlaps) == 1 and 0 not in overlaps
-    checks.append(
-        CheckRecord(
-            "equal_positive_overlaps",
-            "one common overlap size r >= 1 for all subtree pairs",
-            f"overlap sizes seen: {sorted(overlaps)}",
-            overlap_ok,
+    ]
+    if shape_ok:
+        blocks, restricted = _pendant_blocks(s, t, p.bit_length() - 1, q.bit_length() - 1)
+        overlaps = {len(block) for block in blocks.values()}
+        checks.append(
+            CheckRecord(
+                "equal_positive_overlaps",
+                "one common overlap size r >= 1 for all subtree pairs",
+                f"overlap sizes seen: {sorted(overlaps)}",
+                len(overlaps) == 1 and 0 not in overlaps,
+            )
         )
-    )
-    if not overlap_ok:
-        return bail()
-
-    checks.append(_anticaterpillar_record(restricted, p * q))
-    if not checks[-1].passed:
-        return bail()
-
-    size = mast_dp(s, t).size
-    limit = 2 * max(p, q)
-    checks.append(CheckRecord("mast_bound", f"<= {limit}", size, size <= limit))
+        if checks[-1].passed:
+            checks.append(_anticaterpillar_record(restricted, p * q))
+    if checks[-1].passed:
+        size = mast_dp(s, t).size
+        limit = 2 * max(p, q)
+        bound = (f"<= {limit}", size, size <= limit)
+    else:
+        bound = ("not asserted: hypotheses failed", None, False)
+    checks.append(CheckRecord("mast_bound", *bound))
     return VerificationReport(tuple(checks))

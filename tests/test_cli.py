@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mastforge
-from mastforge import make_caterpillar, parse, serialize
+from mastforge import make_balanced, make_caterpillar, parse, serialize
 from mastforge.cli import main
 
 from conftest import DATA_DIR
@@ -404,26 +404,33 @@ class TestWriteErrors:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,stderr",
     [
-        ["bounds", "--n", "0"],
-        ["bounds", "--n", str(10 ** 400)],
-        ["probe", "--m", "0", "--trials", "1"],
-        ["pack", "--n", "-1"],
-        ["generate", "--k", "0", "--out-s", "{dir}/s.nwk", "--out-t", "{dir}/t.nwk"],
-        ["verify", "--k", "0"],
-        ["mast", "{dir}/non_utf8.nwk", "{dir}/non_utf8.nwk"],
-        ["mast", "--brute", "{dir}/wide.nwk", "{dir}/wide.nwk"],
-        ["mast", str(DATA_DIR / "balanced2048_s.nwk"), str(DATA_DIR / "balanced2048_t.nwk")],
+        (["bounds", "--n", "0"], None),
+        (["bounds", "--n", str(10 ** 400)], None),
+        (["probe", "--m", "0", "--trials", "1"], None),
+        (["pack", "--n", "-1"], None),
+        (["generate", "--k", "0", "--out-s", "{dir}/s.nwk", "--out-t", "{dir}/t.nwk"], None),
+        (["verify", "--k", "0"], None),
+        (["verify", "--k", "2", "--s", "{dir}/caterpillar16.nwk", "--t", "{dir}/balanced16.nwk"],
+         "error: tree s is not balanced\n"),
+        (["verify", "--k", "2", "--s", "{dir}/balanced16.nwk", "--t", "{dir}/other16.nwk"],
+         "error: the two trees must carry the same label set\n"),
+        (["mast", "{dir}/non_utf8.nwk", "{dir}/non_utf8.nwk"], None),
+        (["mast", "--brute", "{dir}/wide.nwk", "{dir}/wide.nwk"], None),
+        (["mast", str(DATA_DIR / "balanced2048_s.nwk"), str(DATA_DIR / "balanced2048_t.nwk")], None),
+        (["mast", "--witness", "{dir}/w.nwk", "{dir}/balanced16.nwk", "{dir}/other16.nwk"],
+         "no common labels, nothing to write as a witness\n"),
     ],
     ids=[
         "bounds-n-zero", "bounds-n-huge", "probe-m-zero", "pack-negative",
-        "generate-k-zero", "verify-k-zero", "mast-non-utf8", "mast-brute-17",
-        "mast-over-budget",
+        "generate-k-zero", "verify-k-zero", "verify-unbalanced", "verify-label-sets",
+        "mast-non-utf8", "mast-brute-17", "mast-over-budget", "mast-witness-disjoint",
     ],
 )
-def test_error_contract(tmp_path, capsys, monkeypatch, argv):
-    # every failure: exit 1, nothing on stdout, one stderr line, no traceback
+def test_error_contract(tmp_path, capsys, monkeypatch, argv, stderr):
+    # every failure: exit 1, nothing on stdout, one stderr line (pinned where
+    # given), no traceback and no witness file
     # on a 1 MB machine, where the golden pair's 33.5 MB table is refused;
     # no other case gets as far as a table
     monkeypatch.setattr(mastforge.mast, "_physical_memory_bytes", lambda: 10 ** 6)
@@ -431,7 +438,17 @@ def test_error_contract(tmp_path, capsys, monkeypatch, argv):
     # 17 common labels: one more than the subset oracle accepts
     labels = [str(i) for i in range(17)]
     (tmp_path / "wide.nwk").write_text(serialize(make_caterpillar(labels)) + "\n")
+    # 16-leaf trees for k=2: a caterpillar, and balanced trees on the labels
+    # 1..16 and, sharing none of them, 17..32
+    for name, tree in (
+        ("caterpillar16", make_caterpillar([str(i) for i in range(1, 17)])),
+        ("balanced16", make_balanced(4, [str(i) for i in range(1, 17)])),
+        ("other16", make_balanced(4, [str(i) for i in range(17, 33)])),
+    ):
+        (tmp_path / f"{name}.nwk").write_text(serialize(tree) + "\n")
     code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
     assert code == 1 and not out
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert stderr is None or err == stderr
+    assert not (tmp_path / "w.nwk").exists()

@@ -1,6 +1,7 @@
 """Packing counts, label grids, the counterexample family, and verifiers."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -30,7 +31,7 @@ from mastforge import (
     verify_counterexample,
 )
 
-from conftest import relabel
+from conftest import all_tree_shapes, relabel
 
 PUBLISHED_A = [1, 1, 1, 2, 2, 4, 8, 16, 16, 32, 64, 128, 256, 512, 1024, 2048, 2048, 4096]
 
@@ -204,6 +205,30 @@ class TestAnticaterpillars:
         b = make_balanced(2, ["4", "3", "2", "1"])
         assert not is_anticaterpillar_pair(a, b)
 
+    def test_detector_matches_permutation_oracle(self):
+        # every tree on 1-5 labels from two overlapping label sets, each
+        # ordered pair against the canonical forms of all pairs
+        # (caterpillar(pi), caterpillar(reversed pi))
+        label_sets = [labels[:n] for labels in ("12345", "54321") for n in range(1, 6)]
+        trees = [
+            Tree.from_nested(shape)
+            for labels in label_sets
+            for shape in all_tree_shapes(tuple(labels))
+        ]
+        assert len(trees) == 250
+        oracle = {
+            (make_caterpillar(pi).canonical_form(),
+             make_caterpillar(pi[::-1]).canonical_form())
+            for labels in label_sets
+            for pi in itertools.permutations(labels)
+        }
+        forms = [tree.canonical_form() for tree in trees]
+        for a, form_a in zip(trees, forms):
+            for b, form_b in zip(trees, forms):
+                assert is_anticaterpillar_pair(a, b) == ((form_a, form_b) in oracle), (
+                    form_a, form_b,
+                )
+
 
 K2_OVERLAP = (
     "pairwise_overlap", "every one of 4 subtree pairs shares 4 labels",
@@ -298,6 +323,8 @@ class TestCounterexample:
     def test_k2_report_passes(self):
         report = verify_counterexample(build_counterexample(2))
         assert report.passed, report.to_json()
+        with pytest.raises(KeyError):
+            report.record("nope")
         assert report.record("mast_size").observed == 4
 
     def test_k2_quoted_witnesses_are_agreements(self):
@@ -440,7 +467,63 @@ class TestChooseK:
                 choose_k_for_c(c)
 
 
+def _k2_inputs(swap=None):
+    """The k=2 pair, with two labels of the first tree swapped if given."""
+    pair = build_counterexample(2)
+    if swap is None:
+        return pair.s, pair.t
+    a, b = swap
+    mapping = {lab: lab for lab in pair.s.leaf_set()} | {a: b, b: a}
+    return relabel(pair.s, mapping), pair.t
+
+
+def _self_inputs():
+    """A grid tree against itself: its subtree pairs overlap in 4 or 0 labels."""
+    s, _ = build_overlap_pair(1, 2)
+    return s, s
+
+
+LEMMA_SHAPE = "balanced trees split into p and q equal subtrees of shared size >= 2"
+LEMMA_OVERLAP = "one common overlap size r >= 1 for all subtree pairs"
+LEMMA_NOT_ASSERTED = ("mast_bound", "not asserted: hypotheses failed", None, False)
+
+# case: (inputs, p, q, the records of the report as (check, expected,
+# observed, pass)); one case per way out of the lemma check
+PINNED_LEMMA_REPORTS = {
+    "shape_refused": (_k2_inputs, 3, 2, [
+        ("pendant_decomposition", LEMMA_SHAPE, "subtree sizes 16/3 and 16/2", False),
+        LEMMA_NOT_ASSERTED,
+    ]),
+    "unequal_overlaps": (_self_inputs, 2, 2, [
+        ("pendant_decomposition", LEMMA_SHAPE, "subtree sizes 8/2 and 8/2", True),
+        ("equal_positive_overlaps", LEMMA_OVERLAP, "overlap sizes seen: [0, 4]", False),
+        LEMMA_NOT_ASSERTED,
+    ]),
+    # 1 and 3 share the block {1, 2, 3, 4} of the first subtree
+    "not_anticaterpillars": (lambda: _k2_inputs(("1", "3")), 2, 2, [
+        ("pendant_decomposition", LEMMA_SHAPE, "subtree sizes 16/2 and 16/2", True),
+        ("equal_positive_overlaps", LEMMA_OVERLAP, "overlap sizes seen: [4]", True),
+        ("anticaterpillar_restrictions", K2_ANTI, "3/4 pairs", False),
+        LEMMA_NOT_ASSERTED,
+    ]),
+    "bound_holds": (_k2_inputs, 2, 2, [
+        ("pendant_decomposition", LEMMA_SHAPE, "subtree sizes 16/2 and 16/2", True),
+        ("equal_positive_overlaps", LEMMA_OVERLAP, "overlap sizes seen: [4]", True),
+        ("anticaterpillar_restrictions", K2_ANTI, "4/4 pairs", True),
+        ("mast_bound", "<= 4", 4, True),
+    ]),
+}
+
+
 class TestUpperBoundLemma:
+    @pytest.mark.parametrize("case", PINNED_LEMMA_REPORTS)
+    def test_report_is_pinned(self, case):
+        inputs, p, q, records = PINNED_LEMMA_REPORTS[case]
+        s, t = inputs()
+        checks = [dict(zip(("check", "expected", "observed", "pass"), r)) for r in records]
+        expected = {"pass": all(c["pass"] for c in checks), "checks": checks}
+        assert check_upper_bound_lemma(s, t, p, q).to_json() == json.dumps(expected, indent=2)
+
     def test_k2_construction(self):
         pair = build_counterexample(2)
         report = check_upper_bound_lemma(pair.s, pair.t, 2, 2)
@@ -518,3 +601,14 @@ class TestOverlapPairs:
         # caterpillars of size 8 cannot fit a host of height 4
         with pytest.raises(ValueError):
             build_overlap_pair(1, 4)
+
+    @pytest.mark.parametrize(
+        "p,refusal",
+        [
+            (3, "^p must be a positive power of two, got 3$"),
+            (8, "^p=8 exceeds the 4 available subtrees$"),
+        ],
+    )
+    def test_slice_refuses_unavailable_counts(self, p, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            overlap_instance(2, 4, p, 1)

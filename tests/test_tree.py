@@ -23,6 +23,8 @@ from conftest import (
     traced_peak,
 )
 
+TWO_CHILDREN = "internal nodes must have exactly two children, got "
+
 
 class TestBuilders:
     def test_single_leaf(self):
@@ -67,6 +69,22 @@ class TestBuilders:
         for bad in ["", "a b", "a,b", "x;", "(y", "z)"]:
             with pytest.raises(TreeError):
                 make_caterpillar([bad, "ok"])
+
+    @pytest.mark.parametrize(
+        "build,refusal",
+        [
+            (lambda: Tree.from_nested(("a",)), TWO_CHILDREN + "('a',)"),
+            (lambda: Tree.from_nested(("a", "b", "c")), TWO_CHILDREN + "('a', 'b', 'c')"),
+            (lambda: Tree.from_nested(["a", "b"]), TWO_CHILDREN + "['a', 'b']"),
+            (lambda: make_balanced(-1, []), "height must be non-negative"),
+            (lambda: make_balanced(1, [7, "a"]), "leaf label must be text, got int"),
+        ],
+        ids=["one-child", "three-children", "list", "negative-height", "int-label"],
+    )
+    def test_malformed_input_refused(self, build, refusal):
+        with pytest.raises(TreeError) as exc:
+            build()
+        assert str(exc.value) == refusal
 
 
 class TestRestrict:
