@@ -43,20 +43,20 @@ Each other row keeps its few O(|T|) numpy passes (max(row a, row b), and
 D from where both are positive), while a batch makes one pass for the
 pair terms of all its D cells, one sparse table over them and one
 write-back: O(log |D|) numpy calls per batch rather than per row, whatever
-the shape of T.  A caterpillar S gets one-row batches.  A leaf row, 1 on
-the root path of its T leaf, is written where its parent finds that path.
+the shape of T.  A caterpillar S gets one-row batches.  The table has no
+rows for S's leaves, which no fill step reads; the backtrack derives them.
 
 Cells are int16: a MAST size never exceeds the smaller leaf count, so the
-table is exact for trees below 2**15 leaves and takes 2 * |S| * |T| bytes,
-in a private mapping, on huge pages where the kernel grants them, whose
-pages go back to the system when it is freed.
+table is exact for trees below 2**15 leaves and takes 2 * (|S| - 1) * |T|
+bytes, in a private mapping, on huge pages where the kernel grants them,
+whose pages go back to the system when it is freed.
 `mast_dp` keeps the whole table, since its backtrack reads any cell.  A
 caller that needs only sizes asks for the root row (``root_only``), which
 the same fill computes holding only the rows still to be read: the
 schedule counts them exactly, at most
 max(1, BATCH_CELLS // |T|) + height(S) + 2, so memory is
 O(BATCH_CELLS + |T| * height(S)).  Both modes refuse, before allocating,
-inputs whose rows would not fit in physical memory or whose sizes int16
+inputs whose rows would not fit in available memory or whose sizes int16
 cannot hold.
 
 Witnesses are not unique; ties are broken in the fixed order the terms are
@@ -93,9 +93,27 @@ class MastResult:
     agreement_tree: Tree | None
 
 
-def _physical_memory_bytes() -> int:
-    """This machine's physical memory: no table may need more."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _available_memory_bytes() -> int:
+    """MemAvailable from /proc/meminfo, else physical memory: a table's limit."""
+    try:
+        with open("/proc/meminfo") as info:
+            fields = dict(line.split(":", 1) for line in info)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _internal_rank(s: Tree) -> list[int]:
+    """Each internal node's rank among S's internal nodes, in postorder."""
+    return [r - 1 for r in itertools.accumulate(a >= 0 for a in s.left)]
+
+
+def _first_leaves(t: Tree) -> list[int]:
+    """The leftmost leaf under each node: its subtree is ids first..w."""
+    first: list[int] = []
+    for w, a in enumerate(t.left):
+        first.append(w if a < 0 else first[a])
+    return first
 
 
 def _fill_order(s: Tree, block_leaves: int, root_only: bool):
@@ -107,14 +125,16 @@ def _fill_order(s: Tree, block_leaves: int, root_only: bool):
     height, lowest first, scheduled just before its root's parent; each node
     above the blocks is a batch of its own, in postorder.
 
-    Row u lives in row ``slot[u]`` of a store of ``rows`` rows.  The full
-    table is its own store.  For the root row alone the store holds the
-    internal rows whose parent's batch is not done: each takes the lowest
-    free store row, and its child rows are freed when its batch is done, so
-    the rows of a batch ascend.  ``rows`` is then the most held at once.
+    Row u lives in row ``slot[u]`` of a store of ``rows`` rows; a leaf has
+    none.  The full table is its own store, row ``slot[u]`` the postorder
+    rank of u among the |S| - 1 internal nodes.  For the root row alone the
+    store holds the internal rows whose parent's batch is not done: each
+    takes the lowest free store row, and its child rows are freed when its
+    batch is done, so the rows of a batch ascend.  ``rows`` is then the most
+    held at once.
     """
     span = 2 * block_leaves - 2  # u - first(u) at a subtree of that many leaves
-    first: list[int] = []
+    first = _first_leaves(s)
     height: list[int] = []
     batches: list[list[int]] = []
 
@@ -126,7 +146,6 @@ def _fill_order(s: Tree, block_leaves: int, root_only: bool):
         batches.extend(levels)
 
     for u, (a, b) in enumerate(zip(s.left, s.right)):
-        first.append(u if a < 0 else first[a])
         height.append(0 if a < 0 else 1 + max(height[a], height[b]))
         if u - first[u] > span:  # u is above the blocks
             for c in (a, b):
@@ -136,7 +155,7 @@ def _fill_order(s: Tree, block_leaves: int, root_only: bool):
     if s.root - first[s.root] <= span:  # S is one block
         block(s.root)
     if not root_only:
-        return batches, range(len(s.label)), len(s.label)
+        return batches, _internal_rank(s), s.size - 1
     slot = [0] * len(s.label)
     free: list[int] = []
     rows = 0
@@ -156,12 +175,13 @@ def _fill_order(s: Tree, block_leaves: int, root_only: bool):
 def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray:
     """Pairwise subtree MAST sizes, as an int16 array.
 
-    Entry ``[u, v]`` (node ids of ``s`` and ``t``; ids are postorder, the
-    roots are ``s.root`` and ``t.root``) is the MAST size of the subtree of
-    ``s`` at ``u`` versus the subtree of ``t`` at ``v``.  A cell, and the sum
-    of the two cells a term adds, counts at most min(s.size, t.size) leaves,
-    so int16 is exact below 2**15 leaves.  The full table takes
-    2 * |S| * |T| bytes: 34 MB for two 2048-leaf trees.
+    Row i of the (|S| - 1, |T|) table is S's i-th internal node in
+    postorder, the root last: entry ``[i, v]`` is the MAST size of its
+    subtree versus the subtree of ``t`` at postorder id ``v``.  A leaf of S
+    has no row: its cell at v is 1 iff its label's T leaf lies below v.  A
+    cell, and the sum of two cells a term adds, counts at most
+    min(s.size, t.size) leaves, so int16 is exact below 2**15 leaves.  The
+    table takes 2 * (|S| - 1) * |T| bytes: 16.8 MB for two 2048-leaf trees.
 
     Each row is made from its two child rows: it is their maximum, raised
     only at the nodes of T where both child rows are positive (see the
@@ -170,8 +190,7 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     BATCH_CELLS), and a row costs a few passes over T, while the raising of
     all rows of a batch shares one sparse table.  A cherry's row counts, at
     w, its two labels below w in T, for all cherries of a batch from one
-    set of root paths; a leaf's row is written from the root path its
-    parent's step finds.
+    set of root paths.
 
     With ``root_only`` the result is row ``s.root`` alone, shape (1, |T|).
     The same fill then holds only the rows whose parent's batch is not
@@ -180,8 +199,8 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     the golden 2048-leaf pair, and 2 for a caterpillar S.
 
     Raises ValueError, before allocating anything, if both trees have 2**15
-    leaves or more, or if the rows held need more than this machine's
-    physical memory.
+    leaves or more, or if the rows held need more memory than this machine
+    has available.
     """
     n = len(t.label)
     if min(s.size, t.size) >= 1 << 15:
@@ -189,11 +208,10 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             f"a MAST table for {s.size} and {t.size} leaves needs fewer than "
             f"{1 << 15} leaves in the smaller tree"
         )
-    full = not root_only
-    block_leaves = max(1, BATCH_CELLS // (t.height + 1 if full else n))
+    block_leaves = max(1, BATCH_CELLS // (n if root_only else t.height + 1))
     batches, slot, rows = _fill_order(s, block_leaves, root_only)
     need = rows * n * 2
-    budget = _physical_memory_bytes()
+    budget = _available_memory_bytes()
     if need > budget:
         raise ValueError(
             f"a MAST table for {s.size} and {t.size} leaves needs "
@@ -205,22 +223,18 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     # T-side geometry, shared by every row
     t_left = np.asarray(t.left, dtype=np.int64)
     t_right = np.asarray(t.right, dtype=np.int64)
-    first = []  # the leftmost leaf under each node: its subtree is first..w
-    for w, a in enumerate(t.left):
-        first.append(w if a < 0 else first[a])
-    first = np.asarray(first, dtype=np.int64)
+    first = np.asarray(_first_leaves(t), dtype=np.int64)
     t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
 
     if s.left[s.root] < 0:  # one leaf: 1 on the root path of its T leaf
         row = np.zeros((1, n), dtype=cell)
         v = t_leaf_at.get(s.label[s.root], n)  # n: no common leaf, an empty range
         row[0, v:][first[v:] <= v] = 1
-        return row
-    # Row u of S lives in row slot[u] of the store (see _fill_order).  The
-    # root row's store holds no leaf rows.
+        return row if root_only else row[:0]  # the full table: no internal row
+    # Row u of S lives in row slot[u] of the store (see _fill_order)
     store = _zeroed_rows(rows, n)
     for batch in batches:
-        cherry_rows, cherry_leaves, cherry_at = [], [], []  # the batch's cherries
+        cherry_rows, cherry_at = [], []  # the batch's cherries
         row_u, row_a, row_b, ds = [], [], [], []  # the batch's general rows
         for u in batch:
             a, b = s.left[u], s.right[u]
@@ -228,7 +242,6 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
                 a, b = b, a
             if s.left[a] < 0:  # a cherry: counted with the batch's others
                 cherry_rows.append(slot[u])
-                cherry_leaves += (a, b)
                 cherry_at += (t_leaf_at.get(s.label[a], -1),
                               t_leaf_at.get(s.label[b], -1))
                 continue
@@ -247,8 +260,6 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
                     lift[0] = 1
                     np.add(row[off], 1, out=lift[1:])
                     row[path] = np.maximum(row[path], np.maximum.accumulate(lift))
-                    if full:
-                        store[b, path] = 1
                 continue
             # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only
             # if both rows are positive at w: those nodes are D.  Off D row u
@@ -260,10 +271,9 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             row_a.append(a)
             row_b.append(b)
         if cherry_rows:
-            if not full:  # the root row's store hands out rows again
+            if root_only:  # the root row's store hands out rows again
                 store[cherry_rows] = 0
-            leaf_rows = cherry_leaves if full else None
-            _fill_cherries(store, cherry_rows, leaf_rows, cherry_at, first)
+            _fill_cherries(store, cherry_rows, cherry_at, first)
         if ds:
             _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first)
     if root_only:
@@ -271,15 +281,13 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     return store
 
 
-def _fill_cherries(store, rows, leaf_rows, at, first):
+def _fill_cherries(store, rows, at, first):
     """The rows of one batch's cherries, from the root paths of their leaves.
 
     A cherry's row counts, at each w, its labels whose T leaf lies in w's
     subtree first(w)..w.  ``rows`` holds the store row of each cherry, and
     ``at`` the T leaves of the labels of cherry i at 2i and 2i + 1 (-1 for a
-    label not in T).  ``leaf_rows``, unless None, holds the store rows of
-    those leaves, each set to 1 on its leaf's root path.  The cherry rows
-    start zeroed.
+    label not in T).  The cherry rows start zeroed.
 
     The T leaves, sorted, make every subtree's leaves one range of them, so
     two searches over all ids give each w the batch leaves below it.  Those
@@ -305,8 +313,6 @@ def _fill_cherries(store, rows, leaf_rows, at, first):
     second = (leaf & 1).astype(bool)
     flat[cells[~second]] += 1
     flat[cells[second]] += 1
-    if leaf_rows is not None:
-        flat[np.asarray(leaf_rows)[leaf] * n + w] = 1
 
 
 def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
@@ -354,14 +360,14 @@ def _zeroed_rows(rows: int, n: int) -> np.ndarray:
     """A zeroed int16 (rows, n) array in its own private mapping.
 
     The pages go back to the system when the array is freed.  A 2048-leaf
-    table is just under glibc's 32 MiB cap on its mmap threshold, so from
-    the heap a freed table would be carved up by later allocations and the
-    next table would grow the heap by its whole size.  The kernel is asked
-    to back the mapping with huge pages, since a fill writes nearly every
-    page of it.  On a 2-core Linux 6.18 host, touching every page of a
-    2048-leaf table (33.5 MB) took about 20 ms of page faults on 4 KB pages
-    and 6-8 ms with the advice, which put 30 MB of it on 2 MB pages; a
-    process filling that table peaked 2.5 MB higher (59.7 against 62.2 MB).
+    table (16.8 MB) is under glibc's 32 MiB cap on its mmap threshold, so
+    from the heap a freed table would be carved up by later allocations and
+    the next table would grow the heap by its whole size.  The kernel is
+    asked to back the mapping with huge pages, since a fill writes nearly
+    every page of it.  On a 2-core Linux 6.18 host, touching every page of
+    a 2048-leaf table took about 7-8 ms of page faults on 4 KB pages and
+    3-4 ms with the advice, which put 12 MB of it on 2 MB pages; a process
+    filling that table peaked 0.8 MB higher (47.2 against 48.0 MB).
     Where the advice is missing or refused, pages are mapped 4 KB at a time
     as the fill writes them.
     """
@@ -378,13 +384,24 @@ def _zeroed_rows(rows: int, n: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=np.int16).reshape(rows, n)
 
 
-def _backtrack(s: Tree, t: Tree, matrix: np.ndarray) -> list[str]:
+def _cells(s: Tree, t: Tree, matrix: np.ndarray):
+    """``cell(u, v)`` at any node pair, from the full table ``matrix``.  A
+    leaf u of S has no row: with x its label's T leaf (-1 if none), its cell
+    is 1 iff first(v) <= x <= v."""
+    rank, first = _internal_rank(s), _first_leaves(t)
+    t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
+    at = [t_leaf_at.get(lab, -1) for lab in s.label]
+    return lambda u, v: (matrix.item(rank[u], v) if s.left[u] >= 0
+                         else int(first[v] <= at[u] <= v))
+
+
+def _backtrack(s: Tree, t: Tree, cell) -> list[str]:
     """One maximizing label set, following the fixed tie-break order."""
     labels: list[str] = []
     stack = [(s.root, t.root)]
     while stack:
         u, v = stack.pop()
-        val = matrix[u, v]
+        val = cell(u, v)
         if val == 0:
             continue
         a, b = s.left[u], s.right[u]
@@ -395,20 +412,18 @@ def _backtrack(s: Tree, t: Tree, matrix: np.ndarray) -> list[str]:
         if c < 0:
             labels.append(t.label[v])
             continue
-        if matrix[a, c] + matrix[b, d] == val:
-            stack.append((a, c))
-            stack.append((b, d))
-        elif matrix[a, d] + matrix[b, c] == val:
-            stack.append((a, d))
-            stack.append((b, c))
-        elif matrix[u, c] == val:
+        if cell(a, c) + cell(b, d) == val:
+            stack += (a, c), (b, d)
+        elif cell(a, d) + cell(b, c) == val:
+            stack += (a, d), (b, c)
+        elif cell(u, c) == val:
             stack.append((u, c))
-        elif matrix[u, d] == val:
+        elif cell(u, d) == val:
             stack.append((u, d))
-        elif matrix[a, v] == val:
+        elif cell(a, v) == val:
             stack.append((a, v))
         else:
-            assert matrix[b, v] == val, "no recursion term attains the table value"
+            assert cell(b, v) == val, "no recursion term attains the table value"
             stack.append((b, v))
     return labels
 
@@ -419,9 +434,9 @@ def mast_dp(s: Tree, t: Tree) -> MastResult:
     The witness is validated before returning: both restrictions must be
     isomorphic to the reported agreement tree.
     """
-    matrix = mast_size_matrix(s, t)
-    size = int(matrix[s.root, t.root])
-    labels = _backtrack(s, t, matrix)
+    cell = _cells(s, t, mast_size_matrix(s, t))
+    size = cell(s.root, t.root)  # a one-leaf S has no row: its cell is derived
+    labels = _backtrack(s, t, cell)
     if len(labels) != size:
         raise RuntimeError(
             f"backtracking produced {len(labels)} labels for table value {size}"

@@ -49,15 +49,30 @@ def golden_t() -> Tree:
     return parse((DATA_DIR / "balanced2048_t.nwk").read_text())
 
 
-def fill_in_blocks(block_leaves, s, t):
-    """Both modes' fills, with blocks of at most ``block_leaves`` leaves of S:
-    BATCH_CELLS is divided by height(T) + 1 for the full table and by |T|
-    for the root row."""
-    with mock.patch.object(mast_module, "BATCH_CELLS", block_leaves * (t.height + 1)):
+def assert_fills_match_naive(s, t, block_leaves=None):
+    """Both modes' fills against :func:`naive_mast_table`, cell by cell: the
+    full table is its rows at S's internal nodes, in postorder, and the root
+    row is its root's row.  With ``block_leaves`` both fills split S into
+    blocks of at most that many leaves: BATCH_CELLS is divided by
+    height(T) + 1 for the full table and by |T| for the root row."""
+    naive = naive_mast_table(s, t)
+    full_cells = root_cells = mast_module.BATCH_CELLS
+    if block_leaves:
+        full_cells = block_leaves * (t.height + 1)
+        root_cells = block_leaves * len(t.label)
+    with mock.patch.object(mast_module, "BATCH_CELLS", full_cells):
         table = mast_size_matrix(s, t)
-    with mock.patch.object(mast_module, "BATCH_CELLS", block_leaves * len(t.label)):
+    with mock.patch.object(mast_module, "BATCH_CELLS", root_cells):
         root = mast_size_matrix(s, t, root_only=True)
-    return table, root
+    assert table.tolist() == [row for row, a in zip(naive, s.left) if a >= 0]
+    assert root.tolist() == [naive[s.root]]
+
+
+def backtrack_cells(s, t) -> list[list[int]]:
+    """Every cell ``[u][v]`` as ``mast_dp``'s backtrack reads it from the
+    full table: an internal node's from its row, a leaf's derived."""
+    cell = mast_module._cells(s, t, mast_size_matrix(s, t))
+    return [[cell(u, v) for v in range(len(t.label))] for u in range(len(s.label))]
 
 
 def traced_peak(fn) -> int:

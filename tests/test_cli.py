@@ -431,9 +431,9 @@ class TestWriteErrors:
 def test_error_contract(tmp_path, capsys, monkeypatch, argv, stderr):
     # every failure: exit 1, nothing on stdout, one stderr line (pinned where
     # given), no traceback and no witness file
-    # on a 1 MB machine, where the golden pair's 33.5 MB table is refused;
+    # on a 1 MB machine, where the golden pair's 16.8 MB table is refused;
     # no other case gets as far as a table
-    monkeypatch.setattr(mastforge.mast, "_physical_memory_bytes", lambda: 10 ** 6)
+    monkeypatch.setattr(mastforge.mast, "_available_memory_bytes", lambda: 10 ** 6)
     (tmp_path / "non_utf8.nwk").write_bytes(b"\xff\xfe(a,b);")
     # 17 common labels: one more than the subset oracle accepts
     labels = [str(i) for i in range(17)]

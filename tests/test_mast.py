@@ -1,8 +1,10 @@
 """MAST solver versus the subset-enumeration oracle and known values."""
 
 import hashlib
+import io
 import itertools
 import mmap
+import os
 import random
 import sys
 
@@ -22,8 +24,9 @@ from mastforge import (
 from mastforge import mast as mast_module
 
 from conftest import (
+    assert_fills_match_naive,
+    backtrack_cells,
     displayed_triple,
-    fill_in_blocks,
     naive_mast_size,
     naive_mast_table,
     random_overlapping_pair,
@@ -167,38 +170,35 @@ class TestProperties:
 
 class TestSizeMatrix:
     def test_leaf_entries(self):
+        # the table has no leaf rows: the backtrack derives their cells
         s = make_caterpillar(["x", "y"])
         t = make_caterpillar(["x", "z"])
-        matrix = mast_size_matrix(s, t)
+        matrix = backtrack_cells(s, t)
         s_leaf = {lab: v for v, lab in enumerate(s.label) if lab is not None}
         t_leaf = {lab: v for v, lab in enumerate(t.label) if lab is not None}
-        assert matrix[s_leaf["x"], t_leaf["x"]] == 1
-        assert matrix[s_leaf["y"], t_leaf["z"]] == 0
+        assert matrix[s_leaf["x"]][t_leaf["x"]] == 1
+        assert matrix[s_leaf["y"]][t_leaf["z"]] == 0
 
     def test_root_entry_equals_mast(self):
         rng = random.Random(31)
         s, t, _ = random_overlapping_pair(rng, max_common=8)
         matrix = mast_size_matrix(s, t)
-        assert matrix[s.root, t.root] == mast_dp(s, t).size
+        assert matrix[-1, t.root] == mast_dp(s, t).size
 
     def test_root_entry_on_golden_pair(self, golden_s, golden_t):
         matrix = mast_size_matrix(golden_s, golden_t)
-        assert matrix[golden_s.root, golden_t.root] == 32
+        assert matrix[-1, golden_t.root] == 32
 
     def test_entries_monotone_up_the_tree(self):
         # a parent's entry is at least each child's entry against any v
         rng = random.Random(32)
         s, t, _ = random_overlapping_pair(rng, max_common=8)
-        matrix = mast_size_matrix(s, t)
+        matrix = backtrack_cells(s, t)
         for u, (a, b) in enumerate(zip(s.left, s.right)):
             if a < 0:
                 continue
-            assert (matrix[u] >= matrix[a]).all()
-            assert (matrix[u] >= matrix[b]).all()
-
-
-def assert_table_matches_oracle(s, t):
-    assert mast_size_matrix(s, t).tolist() == naive_mast_table(s, t)
+            assert all(x >= y for x, y in zip(matrix[u], matrix[a]))
+            assert all(x >= y for x, y in zip(matrix[u], matrix[b]))
 
 
 def c_calls(fn) -> int:
@@ -222,18 +222,18 @@ class TestSizeTableCells:
     def test_one_leaf_tree_on_either_side(self):
         s = random_tree(random.Random(40), ["a", "b", "c", "d", "e"])
         for label in ("c", "z"):
-            assert_table_matches_oracle(s, Tree.from_nested(label))
-            assert_table_matches_oracle(Tree.from_nested(label), s)
+            assert_fills_match_naive(s, Tree.from_nested(label))
+            assert_fills_match_naive(Tree.from_nested(label), s)
 
     def test_one_leaf_each(self):
         for label in ("a", "z"):
-            assert_table_matches_oracle(Tree.from_nested("a"), Tree.from_nested(label))
+            assert_fills_match_naive(Tree.from_nested("a"), Tree.from_nested(label))
 
     def test_disjoint_labels(self):
         s = make_caterpillar(["a", "b", "c", "d", "e"])
         t = make_balanced(2, ["v", "w", "x", "y"])
         assert not mast_size_matrix(s, t).any()
-        assert_table_matches_oracle(s, t)
+        assert_fills_match_naive(s, t)
 
     # subtree id ranges of these widths are covered by two overlapping
     # power-of-two windows rather than one
@@ -249,8 +249,8 @@ class TestSizeTableCells:
             make_caterpillar(labels[2:] + ["p", "q"]),  # partial overlap
         ]
         for other in others:
-            assert_table_matches_oracle(cat, other)
-            assert_table_matches_oracle(other, cat)
+            assert_fills_match_naive(cat, other)
+            assert_fills_match_naive(other, cat)
 
     def test_call_count_independent_of_tree_height(self):
         # a fill makes about as many calls into C for caterpillars (height
@@ -292,10 +292,11 @@ class TestRootRow:
             s, t = comb_pair(case)
         root = mast_size_matrix(s, t, root_only=True)
         assert root.dtype == "int16"
-        assert root.tolist() == [mast_size_matrix(s, t)[s.root].tolist()]
+        cell = mast_module._cells(s, t, mast_size_matrix(s, t))
+        assert root.tolist() == [[cell(s.root, v) for v in range(len(t.label))]]
 
     def test_full_table_is_two_bytes_a_cell(self, golden_s, golden_t):
-        # 4095 x 4095 int16 cells are 33.5 MB; int32 cells took 67.7 MB
+        # 2047 x 4095 int16 cells are 16.8 MB
         assert traced_peak(lambda: mast_size_matrix(golden_s, golden_t)) < 40e6
 
     def test_root_row_holds_few_rows(self, golden_s, golden_t):
@@ -306,8 +307,9 @@ class TestRootRow:
 
     def test_rows_held(self, golden_s, golden_t, monkeypatch):
         # the rows live in a private mapping, which tracemalloc does not see:
-        # every row of S for the full table, and for the root row the most
-        # rows held at once: 100, within 2**19 // 4095 + height + 2 = 141
+        # every internal row of S for the full table, and for the root row
+        # the most rows held at once: 100, within 2**19 // 4095 + height + 2
+        # = 141
         shapes = []
         zeroed_rows = mast_module._zeroed_rows
 
@@ -316,9 +318,9 @@ class TestRootRow:
             return zeroed_rows(rows, n)
 
         monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
-        assert mast_size_matrix(golden_s, golden_t).nbytes == 4095 * 4095 * 2
+        assert mast_size_matrix(golden_s, golden_t).nbytes == 2047 * 4095 * 2
         mast_size_matrix(golden_s, golden_t, root_only=True)
-        assert shapes == [(4095, 4095), (100, 4095)]
+        assert shapes == [(2047, 4095), (100, 4095)]
 
     def test_caterpillar_s_holds_few_rows(self, monkeypatch):
         # a caterpillar's row needs only its child's: a spine of 2047 rows
@@ -335,7 +337,7 @@ class TestRootRow:
         monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
         root = mast_size_matrix(s, t, root_only=True)
         assert shapes[0] <= 3
-        assert root.tolist() == [mast_size_matrix(s, t)[s.root].tolist()]
+        assert root.tolist() == [mast_size_matrix(s, t)[-1].tolist()]
 
     def test_full_fill_transients_bounded_by_blocks(self):
         # balanced S against caterpillar T: a batch's path and D cells grow
@@ -344,12 +346,6 @@ class TestRootRow:
         labels = [str(i) for i in range(2048)]
         s, t = make_balanced(11, labels), make_caterpillar(labels[::-1])
         assert traced_peak(lambda: mast_size_matrix(s, t)) < 40e6
-
-
-def assert_both_modes_match_oracle(s, t):
-    naive = naive_mast_table(s, t)
-    assert mast_size_matrix(s, t).tolist() == naive
-    assert mast_size_matrix(s, t, root_only=True).tolist() == [naive[s.root]]
 
 
 def both_positive(s, t, u):
@@ -376,7 +372,7 @@ class TestRowStep:
     @pytest.mark.parametrize("cherry", [("p", "q"), ("a", "q"), ("q", "a"), ("a", "c")])
     def test_cherry_with_zero_one_or_two_labels_in_t(self, cherry):
         t = random_tree(random.Random(70), ["a", "b", "c", "d", "e", "f"])
-        assert_both_modes_match_oracle(Tree.from_nested(cherry), t)
+        assert_fills_match_naive(Tree.from_nested(cherry), t)
 
     def test_caterpillar_with_labels_absent_from_t(self):
         # every other leaf child of the spine has no leaf in T
@@ -388,27 +384,27 @@ class TestRowStep:
             random_tree(rng, labels[::2] + ["x", "y"]),
             random_tree(rng, labels[1:5] + labels[8:]),
         ):
-            assert_both_modes_match_oracle(s, t)
-            assert_both_modes_match_oracle(t, s)
+            assert_fills_match_naive(s, t)
+            assert_fills_match_naive(t, s)
 
     def test_one_leaf_t(self):
         # the root path of T's one leaf is that leaf: no off-path children
         s = random_tree(random.Random(72), ["a", "b", "c", "d", "e"])
         for label in ("a", "e", "z"):
-            assert_both_modes_match_oracle(s, Tree.from_nested(label))
+            assert_fills_match_naive(s, Tree.from_nested(label))
 
     def test_general_row_with_empty_d(self):
         s = Tree.from_nested((("a", "b"), ("c", "d")))
         t = random_tree(random.Random(73), ["a", "b", "x", "y"])
         assert both_positive(s, t, s.root) == []
-        assert_both_modes_match_oracle(s, t)
+        assert_fills_match_naive(s, t)
 
     def test_general_row_with_branching_d(self):
         s = Tree.from_nested((("a", "b"), ("c", "d")))
         t = Tree.from_nested((("a", "c"), ("b", "d")))
         d = both_positive(s, t, s.root)
         assert len(d) == 3 and not is_chain(t, d)
-        assert_both_modes_match_oracle(s, t)
+        assert_fills_match_naive(s, t)
 
 
     def test_one_batch_with_empty_and_branching_d(self):
@@ -419,7 +415,7 @@ class TestRowStep:
         assert [6, 13] in mast_module._fill_order(s, 8, False)[0]
         assert both_positive(s, t, 13) == []
         assert not is_chain(t, both_positive(s, t, 6))
-        assert_both_modes_match_oracle(s, t)
+        assert_fills_match_naive(s, t)
 
 
     @pytest.mark.parametrize("block_leaves", [1, 2, 3, 8])
@@ -435,21 +431,20 @@ class TestRowStep:
         for root_only in (False, True):
             batches = mast_module._fill_order(s, block_leaves, root_only)[0]
             assert (cherries in batches) == (block_leaves == 8)
-        naive = naive_mast_table(s, t)
-        assert max(naive[2]) == 2
-        table, root = fill_in_blocks(block_leaves, s, t)
-        assert table.tolist() == naive
-        assert root.tolist() == [naive[s.root]]
+        assert max(naive_mast_table(s, t)[2]) == 2
+        assert_fills_match_naive(s, t, block_leaves)
 
     def test_leaf_rows_under_root_path_rows_and_cherries(self):
-        # leaf rows written from a cherry's root paths (a, b, e, f) and from
-        # a root-path row's path (c, d, g), with c and f absent from T
+        # leaf cells, which the table does not store, derived under a
+        # cherry's row (a, b, e, f) and a root-path row (c, d, g), with c
+        # and f absent from T
         s = Tree.from_nested(((("a", "b"), "c"), (("d", ("e", "f")), "g")))
         t = random_tree(random.Random(74), ["a", "b", "d", "e", "g", "x", "y"])
         table = naive_mast_table(s, t)
         leaves = [u for u, lab in enumerate(s.label) if lab is not None]
         assert all(any(table[u]) == (s.label[u] not in "cf") for u in leaves)
-        assert_table_matches_oracle(s, t)
+        assert backtrack_cells(s, t) == table
+        assert_fills_match_naive(s, t)
 
 
 class TestPinnedWitnesses:
@@ -486,9 +481,9 @@ class TestPinnedWitnesses:
 
 
 class TestHugePages:
-    # sha256 of the golden pair's full table: the pages the table is mapped
-    # on must not change a cell
-    GOLDEN = "1631df52f3f93a883f632cdef4894bb3f47ac98f6b7d2539f3b60760d95f835e"
+    # sha256 of the golden pair's full table, its 2047 internal rows: the
+    # pages the table is mapped on must not change a cell
+    GOLDEN = "23984b610519f0421acfaf559446ed10277082c25540cbb29496e47331ff74d1"
 
     @pytest.mark.parametrize("advice", ["granted", "missing", "refused"])
     def test_golden_table_with_or_without_the_advice(
@@ -514,16 +509,53 @@ class TestTableBudget:
 
     def test_over_budget_refused(self, golden_s, golden_t, monkeypatch):
         # the root row holds at most 100 rows of 4095 two-byte cells at
-        # once; the full table all 4095 rows, 33.5 MB
+        # once; the full table all 2047 internal rows, 16.8 MB
         rows_bytes = 100 * 4095 * 2
-        monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes)
-        with pytest.raises(ValueError, match=r"2048 and 2048 leaves needs 0\.0335 GB"):
+        monkeypatch.setattr(mast_module, "_available_memory_bytes", lambda: rows_bytes)
+        with pytest.raises(ValueError, match=r"2048 and 2048 leaves needs 0\.0168 GB"):
             mast_size_matrix(golden_s, golden_t)
         root = mast_size_matrix(golden_s, golden_t, root_only=True)
         assert root[0, golden_t.root] == 32
-        monkeypatch.setattr(mast_module, "_physical_memory_bytes", lambda: rows_bytes - 1)
+        monkeypatch.setattr(mast_module, "_available_memory_bytes", lambda: rows_bytes - 1)
         with pytest.raises(ValueError, match=r"leaves needs 0\.000819 GB"):
             mast_size_matrix(golden_s, golden_t, root_only=True)
+
+    def test_budget_is_available_memory_else_physical(self, monkeypatch):
+        # MemAvailable (kB) from a patched /proc/meminfo reader; physical
+        # memory where it is missing, malformed or cannot be read
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        for meminfo, budget in [
+            ("MemTotal: 8000 kB\nMemAvailable:    1234 kB\n", 1234 * 1024),
+            ("MemTotal: 8000 kB\nMemFree: 1234 kB\n", physical),
+            ("MemAvailable: lots kB\n", physical),
+            ("MemAvailable:\n", physical),
+            ("MemAvailable 1234 kB\n", physical),
+            (None, physical),
+        ]:
+            def reader(path, meminfo=meminfo):
+                assert path == "/proc/meminfo"
+                if meminfo is None:
+                    raise FileNotFoundError(path)
+                return io.StringIO(meminfo)
+
+            monkeypatch.setattr(mast_module, "open", reader, raising=False)
+            assert mast_module._available_memory_bytes() == budget
+
+
+class TestOneLeafTrees:
+    # a one-leaf S has no internal row: mast_dp derives its one cell
+    @pytest.mark.parametrize("label, size", [("b", 1), ("z", 0)])
+    def test_one_leaf_s_or_t(self, label, size):
+        other = make_caterpillar(["a", "b", "c"])
+        leaf = Tree.from_nested(label)
+        for s, t in ((leaf, other), (other, leaf)):
+            result = mast_dp(s, t)
+            assert result.size == size and type(result.size) is int
+            assert result.witness_labels == ({label} if size else set())
+            if size:
+                assert serialize(result.agreement_tree) == f"{label};"
+            else:
+                assert result.agreement_tree is None
 
 
 class TestBalancedPairs:

@@ -14,14 +14,14 @@ from mastforge import (
     make_caterpillar,
     mast_bruteforce,
     mast_dp,
-    mast_size_matrix,
     parse,
     serialize,
 )
 from mastforge import mast as mast_module
 
 from conftest import (
-    fill_in_blocks,
+    assert_fills_match_naive,
+    backtrack_cells,
     naive_mast_size,
     naive_mast_table,
     nested_height,
@@ -164,9 +164,14 @@ class TestSizeTable:
     @settings(PROPERTY_SETTINGS, max_examples=200)
     @given(SHAPED_TREES, SHAPED_TREES)
     def test_every_cell_matches_naive_recursion(self, s, t):
-        table = mast_size_matrix(s, t)
-        assert table.tolist() == naive_mast_table(s, t)
-        assert mast_size_matrix(s, t, root_only=True).tolist() == [table[s.root].tolist()]
+        assert_fills_match_naive(s, t)
+
+    # the table holds S's internal rows; the backtrack reads them by
+    # postorder rank and derives each leaf's cells from its label's T leaf
+    @PROPERTY_SETTINGS
+    @given(SHAPED_TREES, SHAPED_TREES)
+    def test_backtrack_cells_match_naive_recursion(self, s, t):
+        assert backtrack_cells(s, t) == naive_mast_table(s, t)
 
     # blocks of at most 1, 2 or 3 leaves in both modes: S splits into many
     # blocks, and the root row's store hands each row out again and again
@@ -174,9 +179,7 @@ class TestSizeTable:
     @PROPERTY_SETTINGS
     @given(SHAPED_TREES, SHAPED_TREES)
     def test_every_cell_matches_naive_recursion_in_small_blocks(self, block_leaves, s, t):
-        table, root = fill_in_blocks(block_leaves, s, t)
-        assert table.tolist() == naive_mast_table(s, t)
-        assert root.tolist() == [table[s.root].tolist()]
+        assert_fills_match_naive(s, t, block_leaves)
 
 
 class TestFillOrder:
@@ -206,5 +209,5 @@ class TestFillOrder:
                 done.update(batch)
             if root_only:
                 assert rows <= block_leaves + s.height + 2
-            else:
-                assert list(slot) == list(range(len(s.label))) == list(range(rows))
+            else:  # internal nodes in postorder
+                assert [slot[u] for u in internal] == list(range(rows))
