@@ -28,8 +28,6 @@ from .construct import (
     choose_k_for_c,
     counterexample_parameters,
     is_anticaterpillar_pair,
-    make_anticaterpillar_pair,
-    overlap_instance,
     pack_caterpillars,
     verify_counterexample,
 )
@@ -64,14 +62,12 @@ __all__ = [
     "empirical_probe",
     "is_anticaterpillar_pair",
     "lower_bound",
-    "make_anticaterpillar_pair",
     "make_balanced",
     "make_caterpillar",
     "mast_bruteforce",
     "mast_dp",
     "mast_size_matrix",
     "maximize_beta",
-    "overlap_instance",
     "pack_caterpillars",
     "parse",
     "serialize",

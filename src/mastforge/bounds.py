@@ -76,16 +76,14 @@ def beta_of_delta(delta: float) -> float:
     return (1 + 2 * one_minus) / (one_minus - math.log2(delta))
 
 
-def maximize_beta(tolerance: float) -> tuple[float, float]:
+def maximize_beta() -> tuple[float, float]:
     """Golden-section maximum of beta over its interval.
 
     A 1000-point grid scan first confirms the profile is empirically
     unimodal (rises to a single peak, then falls); the search then runs the
-    bracket down far enough that the value error is below ``tolerance``.
-    The result must round to 0.149 at three decimals.
+    bracket down to a width of 1e-12, so that the value error is far below
+    1e-9.  The result must round to 0.149 at three decimals.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     lo, hi = 1e-12, DELTA_MAX - 1e-12
 
     step = (hi - lo) / 999
@@ -102,8 +100,7 @@ def maximize_beta(tolerance: float) -> tuple[float, float]:
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = beta_of_delta(x1), beta_of_delta(x2)
-    width_target = max(1e-14, tolerance * 1e-3)
-    while b - a > width_target:
+    while b - a > 1e-12:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + inv_phi * (b - a)

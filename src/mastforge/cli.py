@@ -1,8 +1,11 @@
 """Command-line surface: generate, mast, verify, pack, bounds, probe.
 
-All machine output is JSON on stdout; diagnostics go to stderr.  Exit code
-0 means the requested computation or check succeeded (for ``verify`` and
-``bounds --certify``: the report passed); anything else is nonzero.
+All machine output is JSON on stdout; diagnostics go to stderr.  Each
+handler returns its exit code and its stdout text, and ``main`` alone
+writes that text: an error writes one stderr line and nothing to stdout.
+Exit code 0 means the requested computation or check succeeded (for
+``verify`` and ``bounds --certify``: the report passed); anything else is
+nonzero.
 """
 
 from __future__ import annotations
@@ -58,59 +61,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload))
-
-
-class _InputError(Exception):
-    """A named-input failure already formatted for stderr."""
+class _Refusal(Exception):
+    """A failure already formatted as its one stderr line."""
 
 
 def _load_tree(path: str):
     try:
         return newick.read_file(path)
     except newick.NewickError as exc:
-        raise _InputError(f"parse error in {path}: {exc}") from exc
+        raise _Refusal(f"parse error in {path}: {exc}") from exc
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from exc
+        raise _Refusal(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+        raise _Refusal(f"cannot read {path}: {exc}") from exc
 
 
-def _cmd_generate(args) -> int:
+def _write_tree(path: str, tree) -> None:
+    try:
+        newick.write_file(path, tree)
+    except OSError as exc:  # a failed open, write or close
+        raise _Refusal(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _cmd_generate(args) -> tuple[int, str]:
     k = args.k if args.k is not None else construct.choose_k_for_c(args.c)
     pair = construct.build_counterexample(k)
-    newick.write_file(args.out_s, pair.s)
-    newick.write_file(args.out_t, pair.t)
-    _emit({"k": k, "n": pair.n, "expected_mast": pair.expected_mast})
-    return 0
+    _write_tree(args.out_s, pair.s)
+    _write_tree(args.out_t, pair.t)
+    return 0, json.dumps({"k": k, "n": pair.n, "expected_mast": pair.expected_mast})
 
 
-def _cmd_mast(args) -> int:
+def _cmd_mast(args) -> tuple[int, str]:
     if args.brute and args.witness:
-        print("the subset oracle reports only a size; drop --witness",
-              file=sys.stderr)
-        return 1
+        raise _Refusal("the subset oracle reports only a size; drop --witness")
     s = _load_tree(args.s)
     t = _load_tree(args.t)
     if args.brute:
-        _emit(mast_bruteforce(s, t))
-        return 0
+        return 0, json.dumps(mast_bruteforce(s, t))
     result = mast_dp(s, t)
     if args.witness:
         if result.agreement_tree is None:
-            print("no common labels, nothing to write as a witness",
-                  file=sys.stderr)
-            return 1
-        newick.write_file(args.witness, result.agreement_tree)
-    _emit(result.size)
-    return 0
+            raise _Refusal("no common labels, nothing to write as a witness")
+        _write_tree(args.witness, result.agreement_tree)
+    return 0, json.dumps(result.size)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     if (args.s is None) != (args.t is None):
-        print("supply both --s and --t, or neither", file=sys.stderr)
-        return 1
+        raise _Refusal("supply both --s and --t, or neither")
     if args.s is None:
         pair = construct.build_counterexample(args.k)
     else:
@@ -119,42 +117,28 @@ def _cmd_verify(args) -> int:
             args.k, _load_tree(args.s), _load_tree(args.t)
         )
     report = construct.verify_counterexample(pair)
-    print(report.to_json())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_json()
 
 
-def _cmd_pack(args) -> int:
+def _cmd_pack(args) -> tuple[int, str]:
     plan = construct.pack_caterpillars(args.n)
-    payload = {"n": args.n, **plan.as_dict()}
-    _emit(payload)
-    return 0
+    return 0, json.dumps({"n": args.n, **plan.as_dict()})
 
 
-def _cmd_bounds(args) -> int:
-    if args.certify:
-        delta_star, beta_star = bounds_mod.maximize_beta(1e-9)
-        report = bounds_mod.check_case_certificates()
-        _emit(
-            {
-                "beta": {"delta": delta_star, "beta": beta_star},
-                "certificates": report.as_dict(),
-            }
-        )
-        return 0 if report.passed else 1
-    _emit(
-        {
-            "n": args.n,
-            "floor": bounds_mod.lower_bound(args.n),
-            "sixth_root": bounds_mod.sixth_root(args.n),
-        }
-    )
-    return 0
+def _cmd_bounds(args) -> tuple[int, str]:
+    if not args.certify:
+        return 0, json.dumps({"n": args.n, "floor": bounds_mod.lower_bound(args.n),
+                              "sixth_root": bounds_mod.sixth_root(args.n)})
+    delta_star, beta_star = bounds_mod.maximize_beta()
+    report = bounds_mod.check_case_certificates()
+    payload = {"beta": {"delta": delta_star, "beta": beta_star},
+               "certificates": report.as_dict()}
+    return (0 if report.passed else 1), json.dumps(payload)
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> tuple[int, str]:
     result = bounds_mod.empirical_probe(args.m, args.trials, args.seed)
-    _emit(result.as_dict())
-    return 0
+    return 0, json.dumps(result.as_dict())
 
 
 _HANDLERS = {
@@ -174,29 +158,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own diagnostics
         return int(exc.code or 0)
     try:
-        code = _HANDLERS[args.command](args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return code
-    except _InputError as exc:
+        code, text = _HANDLERS[args.command](args)
+    except _Refusal as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         # a bad input (TreeError is a ValueError, OverflowError a number too
-        # large for a float) or a failed internal invariant (a bug:
-        # BoundViolationError, PackingError, an inconsistent MAST table),
-        # each reported as one line without a traceback
+        # large for a float), a failed internal invariant (a bug:
+        # BoundViolationError, PackingError, an inconsistent MAST table) or
+        # a failed system call, each reported as one line without a traceback
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a failed write: failed reads are reported above
-        if exc.filename is None:  # stdout, which exit must not flush again
-            sys.stdout = None
-        print(f"cannot write {exc.filename or 'standard output'}: {exc.strerror}",
-              file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory; the inputs are too large for this machine",
               file=sys.stderr)
         return 1
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except OSError as exc:
+        sys.stdout = None  # which exit must not flush again
+        print(f"cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

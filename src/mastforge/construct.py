@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .mast import mast_dp
 from .report import CheckRecord, VerificationReport
-from .tree import Tree, TreeError, make_balanced, make_caterpillar
+from .tree import Tree, TreeError, make_balanced
 
 
 class PackingError(RuntimeError):
@@ -201,15 +201,6 @@ class LabelGrid:
 # anti-caterpillars
 # ----------------------------------------------------------------------
 
-def make_anticaterpillar_pair(labels: list[str]) -> tuple[Tree, Tree]:
-    """The caterpillar on ``labels`` and the caterpillar on the reversed
-    sequence.  Needs at least two distinct labels.
-    """
-    if len(labels) < 2:
-        raise TreeError("anti-caterpillars need at least two leaves")
-    return make_caterpillar(labels), make_caterpillar(list(reversed(labels)))
-
-
 def is_anticaterpillar_pair(a: Tree, b: Tree) -> bool:
     """True iff both trees are caterpillars on the same labels and some
     valid ordering of one is exactly the reverse of a valid ordering of the
@@ -345,22 +336,6 @@ def build_overlap_pair(h1: int, h2: int) -> tuple[Tree, Tree]:
         s_labels.extend(s_slot)
         t_labels.extend(t_slot)
     return make_balanced(h1 + h2, s_labels), make_balanced(h1 + h2, t_labels)
-
-
-def overlap_instance(h1: int, h2: int, p: int, q: int) -> tuple[Tree, Tree]:
-    """Slice a grid pair down to p and q pendant subtrees per side (p, q
-    powers of two at most 2**h1), preserving the equal-overlap and
-    anti-caterpillar hypotheses with possibly different label sets.
-    """
-    for name, val in (("p", p), ("q", q)):
-        if val < 1 or val & (val - 1):
-            raise ValueError(f"{name} must be a positive power of two, got {val}")
-        if val > 1 << h1:
-            raise ValueError(f"{name}={val} exceeds the {1 << h1} available subtrees")
-    s, t = build_overlap_pair(h1, h2)
-    s_slice = s.pendant_subtrees_at_depth(h1 - p.bit_length() + 1)[0]
-    t_slice = t.pendant_subtrees_at_depth(h1 - q.bit_length() + 1)[0]
-    return s_slice, t_slice
 
 
 def choose_k_for_c(c: float) -> int:

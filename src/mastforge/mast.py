@@ -65,6 +65,7 @@ listed above, so repeated runs return identical witnesses.
 
 from __future__ import annotations
 
+import errno
 import heapq
 import itertools
 import os
@@ -374,7 +375,12 @@ def _zeroed_rows(rows: int, n: int) -> np.ndarray:
     import mmap
 
     import numpy as np
-    pages = mmap.mmap(-1, rows * n * 2, flags=mmap.MAP_PRIVATE)
+    try:
+        pages = mmap.mmap(-1, rows * n * 2, flags=mmap.MAP_PRIVATE)
+    except OSError as exc:  # ENOMEM: past RLIMIT_AS or the commit limit
+        if exc.errno == errno.ENOMEM:
+            raise MemoryError(exc.strerror) from exc
+        raise
     advice = getattr(mmap, "MADV_HUGEPAGE", None)
     if advice is not None:
         try:

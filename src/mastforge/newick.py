@@ -125,9 +125,6 @@ def read_file(path: str) -> Tree:
 
 
 def write_file(path: str, tree: Tree) -> None:
-    """Write a tree as a one-line Newick file (UTF-8); an OSError names it."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize(tree) + "\n")
-    except OSError as exc:  # a failed write or close names no file
-        raise OSError(exc.errno, exc.strerror, path) from exc
+    """Write a tree as a one-line Newick file (UTF-8)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize(tree) + "\n")

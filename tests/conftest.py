@@ -20,6 +20,7 @@ import pytest
 from mastforge import (
     Tree,
     TreeError,
+    build_overlap_pair,
     make_balanced,
     make_caterpillar,
     mast_size_matrix,
@@ -112,6 +113,22 @@ def random_overlapping_pair(rng: random.Random, max_common: int = 10):
         random_tree(rng, common + extra_t),
         common,
     )
+
+
+def overlap_instance(h1: int, h2: int, p: int, q: int) -> tuple[Tree, Tree]:
+    """Slice a grid pair down to p and q pendant subtrees per side (p, q
+    powers of two at most 2**h1), preserving the equal-overlap and
+    anti-caterpillar hypotheses with possibly different label sets.
+    """
+    for name, val in (("p", p), ("q", q)):
+        if val < 1 or val & (val - 1):
+            raise ValueError(f"{name} must be a positive power of two, got {val}")
+        if val > 1 << h1:
+            raise ValueError(f"{name}={val} exceeds the {1 << h1} available subtrees")
+    s, t = build_overlap_pair(h1, h2)
+    s_slice = s.pendant_subtrees_at_depth(h1 - p.bit_length() + 1)[0]
+    t_slice = t.pendant_subtrees_at_depth(h1 - q.bit_length() + 1)[0]
+    return s_slice, t_slice
 
 
 def _rebuild(tree: Tree, leaf, join) -> Tree:

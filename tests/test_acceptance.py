@@ -20,12 +20,10 @@ from mastforge import (
     choose_k_for_c,
     counterexample_parameters,
     empirical_probe,
-    make_anticaterpillar_pair,
     make_balanced,
     mast_bruteforce,
     mast_dp,
     maximize_beta,
-    overlap_instance,
     pack_caterpillars,
     parse,
     serialize,
@@ -34,7 +32,7 @@ from mastforge import (
 from mastforge.bounds import ARITHMETIC_SLACK
 from mastforge.tree import make_caterpillar
 
-from conftest import random_overlapping_pair, random_tree
+from conftest import overlap_instance, random_overlapping_pair, random_tree
 
 
 def report(criterion: int, message: str) -> None:
@@ -89,7 +87,7 @@ def test_criterion_3_below_sqrt_and_k_choice():
 def test_criterion_4_anticaterpillar_law():
     for n in range(2, 65):
         labels = [str(i) for i in range(1, n + 1)]
-        a, b = make_anticaterpillar_pair(labels)
+        a, b = make_caterpillar(labels), make_caterpillar(labels[::-1])
         size = mast_dp(a, b).size
         assert size == 2, f"n={n}: expected 2, got {size}"
     report(4, "mast of anti-caterpillar pairs is exactly 2 for n = 2..64")
@@ -149,7 +147,7 @@ def test_criterion_7_upper_bound_lemma():
 
 
 def test_criterion_8_bounds_certification():
-    delta_star, beta_star = maximize_beta(1e-9)
+    delta_star, beta_star = maximize_beta()
     assert abs(beta_star - 0.149) <= 0.001
     certificates = check_case_certificates()
     assert certificates.passed, certificates.to_json()

@@ -43,18 +43,14 @@ class TestBetaFormula:
 
 class TestMaximizeBeta:
     def test_maximum_rounds_to_0_149(self):
-        delta_star, beta_star = maximize_beta(1e-6)
+        delta_star, beta_star = maximize_beta()
         assert 0.1485 <= beta_star <= 0.1495
         assert abs(beta_star - 0.149) <= 0.001
         assert beta_of_delta(delta_star) == beta_star
 
     def test_strictly_below_improved_exponent(self):
-        _, beta_star = maximize_beta(1e-6)
+        _, beta_star = maximize_beta()
         assert beta_star < 0.17
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            maximize_beta(0.0)
 
 
 class TestCaseCertificates:

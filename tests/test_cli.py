@@ -9,6 +9,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import mastforge
 from mastforge import make_balanced, make_caterpillar, parse, serialize
 from mastforge.cli import main
@@ -361,6 +366,47 @@ class TestPackBoundsProbe:
         assert code == 1 and not out
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_failed_system_call_is_not_a_stdout_failure(self, tmp_path, capsys, monkeypatch):
+        # only a failed write of the output is reported as one, and only it
+        # detaches sys.stdout
+        import mastforge.cli as cli_mod
+
+        def failing(s, t):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli_mod, "mast_dp", failing)
+        path = tmp_path / "t.nwk"
+        path.write_text("(a,b);\n")
+        stdout = sys.stdout
+        code, out, err = run(capsys, "mast", str(path), str(path))
+        assert sys.stdout is stdout
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+
+    @pytest.mark.skipif(resource is None, reason="no resource module")
+    def test_table_past_the_address_space_limit_is_out_of_memory(self, tmp_path):
+        # the table of a 6000-leaf pair, 2 * 5999 * 11999 bytes = 144 MB, does
+        # not fit in a 250 MB address space beside the CLI and numpy (about
+        # 143 MB), so its mmap fails with ENOMEM
+        labels = [str(i) for i in range(6000)]
+        s_path, t_path = tmp_path / "s.nwk", tmp_path / "t.nwk"
+        s_path.write_text(serialize(make_caterpillar(labels)) + "\n")
+        t_path.write_text(serialize(make_caterpillar(labels[::-1])) + "\n")
+
+        def limit_address_space():  # runs in the child alone
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (250 << 20, hard))
+
+        src = str(Path(mastforge.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mastforge.cli", "mast", str(s_path), str(t_path)],
+            capture_output=True, text=True, preexec_fn=limit_address_space,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1
 
     def test_unknown_flag_is_nonzero(self, capsys):
         code = main(["pack", "--n", "4", "--bogus"])

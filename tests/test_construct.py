@@ -21,17 +21,15 @@ from mastforge import (
     choose_k_for_c,
     counterexample_parameters,
     is_anticaterpillar_pair,
-    make_anticaterpillar_pair,
     make_balanced,
     make_caterpillar,
     mast_dp,
-    overlap_instance,
     pack_caterpillars,
     serialize,
     verify_counterexample,
 )
 
-from conftest import all_tree_shapes, relabel
+from conftest import all_tree_shapes, overlap_instance, relabel
 
 PUBLISHED_A = [1, 1, 1, 2, 2, 4, 8, 16, 16, 32, 64, 128, 256, 512, 1024, 2048, 2048, 4096]
 
@@ -176,25 +174,22 @@ class TestPacking:
 
 class TestAnticaterpillars:
     def test_pair_is_reversed(self):
-        a, b = make_anticaterpillar_pair([str(i) for i in range(1, 9)])
+        labels = [str(i) for i in range(1, 9)]
+        a, b = make_caterpillar(labels), make_caterpillar(labels[::-1])
         assert a.caterpillar_order() == [str(i) for i in range(1, 9)]
         # b's deepest cherry is {8,7}; normalization lists it ascending
         assert b.caterpillar_order() == ["7", "8", "6", "5", "4", "3", "2", "1"]
         assert is_anticaterpillar_pair(a, b)
 
     def test_mast_is_two(self):
-        a, b = make_anticaterpillar_pair(list("abcdefgh"))
+        a, b = make_caterpillar(list("abcdefgh")), make_caterpillar(list("hgfedcba"))
         assert mast_dp(a, b).size == 2
 
     def test_two_leaves_degenerate(self):
-        a, b = make_anticaterpillar_pair(["x", "y"])
+        a, b = make_caterpillar(["x", "y"]), make_caterpillar(["y", "x"])
         assert a.is_isomorphic(b)
         assert is_anticaterpillar_pair(a, b)
         assert mast_dp(a, b).size == 2
-
-    def test_rejects_single_label(self):
-        with pytest.raises(TreeError):
-            make_anticaterpillar_pair(["only"])
 
     def test_detector_rejects_same_direction(self):
         a = make_caterpillar(["1", "2", "3", "4", "5"])
@@ -537,7 +532,7 @@ class TestUpperBoundLemma:
         assert report.record("mast_bound").observed == 32  # equals 2*max(p,q)
 
     def test_cherry_pair(self):
-        a, b = make_anticaterpillar_pair(["1", "2"])
+        a, b = make_caterpillar(["1", "2"]), make_caterpillar(["2", "1"])
         report = check_upper_bound_lemma(a, b, 1, 1)
         assert report.passed, report.to_json()
         assert report.record("mast_bound").observed == 2

@@ -1,5 +1,6 @@
 """MAST solver versus the subset-enumeration oracle and known values."""
 
+import errno
 import hashlib
 import io
 import itertools
@@ -13,7 +14,6 @@ import pytest
 from mastforge import (
     Tree,
     build_counterexample,
-    make_anticaterpillar_pair,
     make_balanced,
     make_caterpillar,
     mast_bruteforce,
@@ -56,13 +56,15 @@ class TestKnownValues:
         assert res.agreement_tree is None
 
     def test_anticaterpillar_pair_on_5(self):
-        a, b = make_anticaterpillar_pair([str(i) for i in range(1, 6)])
+        labels = [str(i) for i in range(1, 6)]
+        a, b = make_caterpillar(labels), make_caterpillar(labels[::-1])
         assert mast_bruteforce(a, b) == 2
         assert mast_dp(a, b).size == 2
 
     def test_anticaterpillar_law_up_to_64(self):
         for n in range(2, 65):
-            a, b = make_anticaterpillar_pair([str(i) for i in range(1, n + 1)])
+            labels = [str(i) for i in range(1, n + 1)]
+            a, b = make_caterpillar(labels), make_caterpillar(labels[::-1])
             assert mast_dp(a, b).size == 2, f"anti-caterpillar pair on {n} leaves"
 
     def test_identical_random_6_leaf(self):
@@ -278,6 +280,22 @@ def comb_pair(order):
     return (left, right) if order == "left-right" else (right, left)
 
 
+@pytest.fixture
+def mapped(monkeypatch):
+    """(dtype, shape, nbytes) of each array `_zeroed_rows` maps, in call
+    order.  The mapping is private, so tracemalloc does not see it."""
+    held = []
+    zeroed_rows = mast_module._zeroed_rows
+
+    def recording(rows, n):
+        store = zeroed_rows(rows, n)
+        held.append((store.dtype.name, store.shape, store.nbytes))
+        return store
+
+    monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
+    return held
+
+
 class TestRootRow:
     @pytest.mark.parametrize("case", ["golden", "k3", "left-right", "right-left", "one-leaf"])
     def test_root_row_matches_full_table(self, case, golden_s, golden_t):
@@ -295,48 +313,31 @@ class TestRootRow:
         cell = mast_module._cells(s, t, mast_size_matrix(s, t))
         assert root.tolist() == [[cell(s.root, v) for v in range(len(t.label))]]
 
-    def test_full_table_is_two_bytes_a_cell(self, golden_s, golden_t):
+    def test_full_table_is_two_bytes_a_cell(self, golden_s, golden_t, mapped):
         # 2047 x 4095 int16 cells are 16.8 MB
-        assert traced_peak(lambda: mast_size_matrix(golden_s, golden_t)) < 40e6
+        mast_size_matrix(golden_s, golden_t)
+        assert mapped == [("int16", (2047, 4095), 2047 * 4095 * 2)]
 
-    def test_root_row_holds_few_rows(self, golden_s, golden_t):
+    def test_root_row_holds_few_rows(self, golden_s, golden_t, mapped):
         # 100 rows of 4095 cells, 0.82 MB, are held at once
-        peak = traced_peak(lambda: mast_size_matrix(golden_s, golden_t, root_only=True))
-        assert peak < 2e6
+        mast_size_matrix(golden_s, golden_t, root_only=True)
+        assert mapped == [("int16", (100, 4095), 100 * 4095 * 2)]
 
-
-    def test_rows_held(self, golden_s, golden_t, monkeypatch):
-        # the rows live in a private mapping, which tracemalloc does not see:
+    def test_rows_held(self, golden_s, golden_t, mapped):
         # every internal row of S for the full table, and for the root row
         # the most rows held at once: 100, within 2**19 // 4095 + height + 2
         # = 141
-        shapes = []
-        zeroed_rows = mast_module._zeroed_rows
-
-        def recording(rows, n):
-            shapes.append((rows, n))
-            return zeroed_rows(rows, n)
-
-        monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
         assert mast_size_matrix(golden_s, golden_t).nbytes == 2047 * 4095 * 2
         mast_size_matrix(golden_s, golden_t, root_only=True)
-        assert shapes == [(2047, 4095), (100, 4095)]
+        assert [shape for _, shape, _ in mapped] == [(2047, 4095), (100, 4095)]
 
-    def test_caterpillar_s_holds_few_rows(self, monkeypatch):
+    def test_caterpillar_s_holds_few_rows(self, mapped):
         # a caterpillar's row needs only its child's: a spine of 2047 rows
         # is filled in at most 3 store rows
         labels = [str(i) for i in range(2048)]
         s, t = make_caterpillar(labels), make_balanced(11, labels[::-1])
-        shapes = []
-        zeroed_rows = mast_module._zeroed_rows
-
-        def recording(rows, n):
-            shapes.append(rows)
-            return zeroed_rows(rows, n)
-
-        monkeypatch.setattr(mast_module, "_zeroed_rows", recording)
         root = mast_size_matrix(s, t, root_only=True)
-        assert shapes[0] <= 3
+        assert mapped[0][1][0] <= 3
         assert root.tolist() == [mast_size_matrix(s, t)[-1].tolist()]
 
     def test_full_fill_transients_bounded_by_blocks(self):
@@ -540,6 +541,17 @@ class TestTableBudget:
 
             monkeypatch.setattr(mast_module, "open", reader, raising=False)
             assert mast_module._available_memory_bytes() == budget
+
+    @pytest.mark.parametrize("code,raised", [(errno.ENOMEM, MemoryError), (errno.EINVAL, OSError)])
+    def test_refused_mapping(self, monkeypatch, code, raised):
+        # an address-space or commit limit fails the mmap with ENOMEM, which
+        # is out of memory; any other failure stays an OSError
+        def refused(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        with pytest.raises(raised):
+            mast_module._zeroed_rows(2, 3)
 
 
 class TestOneLeafTrees:
