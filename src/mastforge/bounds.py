@@ -93,7 +93,7 @@ def maximize_beta() -> tuple[float, float]:
     rising = all(values[i + 1] >= values[i] - 1e-12 for i in range(peak))
     falling = all(values[i + 1] <= values[i] + 1e-12 for i in range(peak, len(values) - 1))
     if not (rising and falling):
-        raise AssertionError("beta profile is not unimodal on the scanned grid")
+        raise RuntimeError("beta profile is not unimodal on the scanned grid")
 
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = grid[max(peak - 1, 0)], grid[min(peak + 1, len(grid) - 1)]
@@ -112,7 +112,7 @@ def maximize_beta() -> tuple[float, float]:
     delta_star = (a + b) / 2
     beta_star = beta_of_delta(delta_star)
     if round(beta_star, 3) != 0.149:
-        raise AssertionError(f"beta maximum {beta_star} does not round to 0.149")
+        raise RuntimeError(f"beta maximum {beta_star} does not round to 0.149")
     return delta_star, beta_star
 
 
@@ -192,7 +192,7 @@ def lower_bound(n: int) -> float:
         raise ValueError(f"n must be positive, got {n}")
     floor = float(n) ** 0.17
     if n >= 2 and not floor > sixth_root(n):
-        raise AssertionError(f"n**0.17 <= n**(1/6) at n={n}")
+        raise RuntimeError(f"n**0.17 <= n**(1/6) at n={n}")
     return floor
 
 

@@ -19,8 +19,16 @@ from . import construct, newick
 from .mast import mast_bruteforce, mast_dp
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, with exit code 2; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mastforge",
         description="Maximum agreement subtrees of rooted binary trees: "
         "compute, construct extremal pairs, verify, certify bounds.",
@@ -28,6 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write an extremal balanced tree pair")
+    gen.set_defaults(run=_cmd_generate)
     pick = gen.add_mutually_exclusive_group(required=True)
     pick.add_argument("--k", type=int, help="construction parameter k >= 1")
     pick.add_argument("--c", type=float, help="choose k so that mast < c*sqrt(n)")
@@ -35,25 +44,30 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-t", required=True, help="output file for the second tree")
 
     mast = sub.add_parser("mast", help="MAST size of two Newick files")
+    mast.set_defaults(run=_cmd_mast)
     mast.add_argument("s", help="first tree file")
     mast.add_argument("t", help="second tree file")
     mast.add_argument("--brute", action="store_true", help="force the subset oracle")
     mast.add_argument("--witness", help="write one agreement tree as Newick")
 
     verify = sub.add_parser("verify", help="verify an extremal pair end to end")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--k", type=int, required=True)
     verify.add_argument("--s", help="first tree file (default: generate)")
     verify.add_argument("--t", help="second tree file (default: generate)")
 
     pack = sub.add_parser("pack", help="pack disjoint n-caterpillars")
+    pack.set_defaults(run=_cmd_pack)
     pack.add_argument("--n", type=int, required=True)
 
     bnd = sub.add_parser("bounds", help="lower-bound values and certificates")
+    bnd.set_defaults(run=_cmd_bounds)
     mode = bnd.add_mutually_exclusive_group(required=True)
     mode.add_argument("--certify", action="store_true")
     mode.add_argument("--n", type=int)
 
     probe = sub.add_parser("probe", help="randomized floor probe on 2**m leaves")
+    probe.set_defaults(run=_cmd_probe)
     probe.add_argument("--m", type=int, required=True)
     probe.add_argument("--trials", type=int, required=True)
     probe.add_argument("--seed", type=int, default=0)
@@ -141,32 +155,23 @@ def _cmd_probe(args) -> tuple[int, str]:
     return 0, json.dumps(result.as_dict())
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "mast": _cmd_mast,
-    "verify": _cmd_verify,
-    "pack": _cmd_pack,
-    "bounds": _cmd_bounds,
-    "probe": _cmd_probe,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own diagnostics
+    except SystemExit as exc:  # a usage error's one line, or --help, is printed
         return int(exc.code or 0)
     try:
-        code, text = _HANDLERS[args.command](args)
+        code, text = args.run(args)
     except _Refusal as exc:
         print(exc, file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         # a bad input (TreeError is a ValueError, OverflowError a number too
         # large for a float), a failed internal invariant (a bug:
-        # BoundViolationError, PackingError, an inconsistent MAST table) or
-        # a failed system call, each reported as one line without a traceback
+        # BoundViolationError, PackingError, a failed guard, an inconsistent
+        # MAST table) or a failed system call, each reported as one line
+        # without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -240,10 +240,12 @@ def counterexample_parameters(k: int) -> dict:
 
 def check_verifiable_k(k: int) -> None:
     """Refuse a k above ``MAX_BUILDABLE_K``, before n, a 2**(k+1)-bit
-    number, is computed."""
+    number, is computed: its exponent is written symbolically."""
     if k > MAX_BUILDABLE_K:
         raise ValueError(
-            f"k={k} is too large; pairs are only verified up to k={MAX_BUILDABLE_K}"
+            f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree; "
+            f"trees are only materialized up to k={MAX_BUILDABLE_K} "
+            "(use counterexample_parameters for the closed forms)"
         )
 
 
@@ -287,12 +289,7 @@ def build_counterexample(k: int) -> CounterexamplePair:
     2**k - 1, is covered by the 2**(2**k - k - 1) caterpillars of
     ``pack_caterpillars(2**k)``.
     """
-    if k > MAX_BUILDABLE_K:
-        raise ValueError(
-            f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree; "
-            f"trees are only materialized up to k={MAX_BUILDABLE_K} "
-            "(use counterexample_parameters for the closed forms)"
-        )
+    check_verifiable_k(k)
     params = counterexample_parameters(k)
     s, t = build_overlap_pair(params["h1"], params["h2"])
     return CounterexamplePair(k, s, t)
@@ -348,10 +345,10 @@ def choose_k_for_c(c: float) -> int:
     log_c = math.log2(c)
     k = max(1, math.floor(-2 * log_c + 2) + 1)
     if not -k / 2 + 1 < log_c:
-        raise AssertionError(f"guard inequality 2**(-k/2+1) < c failed for k={k}")
+        raise RuntimeError(f"guard inequality 2**(-k/2+1) < c failed for k={k}")
     # same inequality in the mast < c*sqrt(n) form, while log2(n) fits a float
     if k <= 64 and not (1 << k) - k < log_c + ((1 << (k + 1)) - k - 2) / 2:
-        raise AssertionError(f"mast < c*sqrt(n) failed for k={k}")
+        raise RuntimeError(f"mast < c*sqrt(n) failed for k={k}")
     return k
 
 
@@ -360,9 +357,10 @@ def choose_k_for_c(c: float) -> int:
 # ----------------------------------------------------------------------
 
 def _pendant_blocks(s: Tree, t: Tree, s_depth: int, t_depth: int):
-    """The overlap of pendant subtree i of ``s`` with pendant subtree j of
-    ``t`` at the given depths, keyed by (i, j), and each nonempty overlap
-    restricted once in each of its two subtrees.
+    """The set of overlap sizes of pendant subtree i of ``s`` with pendant
+    subtree j of ``t`` at the given depths, over all (i, j), and each
+    nonempty overlap restricted once in each of its two subtrees, keyed by
+    (i, j).
     """
     s_subs = s.pendant_subtrees_at_depth(s_depth)
     t_subs = t.pendant_subtrees_at_depth(t_depth)
@@ -376,7 +374,7 @@ def _pendant_blocks(s: Tree, t: Tree, s_depth: int, t_depth: int):
         for (i, j), block in blocks.items()
         if block
     }
-    return blocks, restricted
+    return {len(block) for block in blocks.values()}, restricted
 
 
 def _anticaterpillar_record(restricted: dict, pairs: int) -> CheckRecord:
@@ -405,10 +403,9 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
     side = 1 << h1
 
     # the partition and anti-caterpillar checks both read these restrictions
-    blocks, restricted = _pendant_blocks(pair.s, pair.t, h1, h1)
+    overlap_sizes, restricted = _pendant_blocks(pair.s, pair.t, h1, h1)
 
     checks: list[CheckRecord] = []
-    overlap_sizes = {len(block) for block in blocks.values()}
     checks.append(
         CheckRecord(
             "pairwise_overlap",
@@ -419,12 +416,13 @@ def verify_counterexample(pair: CounterexamplePair) -> VerificationReport:
     )
 
     def packed(cells, which: int) -> bool:
-        """True iff the blocks at ``cells`` are nonempty and each restricts
-        to a caterpillar on side ``which``.  The pair has one label set and
-        each tree's pendant subtrees partition it, so a row's (or column's)
-        blocks are disjoint and cover its subtree."""
+        """True iff the blocks at ``cells`` are nonempty (have a
+        restriction) and each restricts to a caterpillar on side ``which``.
+        The pair has one label set and each tree's pendant subtrees
+        partition it, so a row's (or column's) blocks are disjoint and
+        cover its subtree."""
         return all(
-            blocks[cell] and restricted[cell][which].caterpillar_order() is not None
+            cell in restricted and restricted[cell][which].caterpillar_order() is not None
             for cell in cells
         )
 
@@ -488,8 +486,7 @@ def check_upper_bound_lemma(s: Tree, t: Tree, p: int, q: int) -> VerificationRep
         )
     ]
     if shape_ok:
-        blocks, restricted = _pendant_blocks(s, t, p.bit_length() - 1, q.bit_length() - 1)
-        overlaps = {len(block) for block in blocks.values()}
+        overlaps, restricted = _pendant_blocks(s, t, p.bit_length() - 1, q.bit_length() - 1)
         checks.append(
             CheckRecord(
                 "equal_positive_overlaps",

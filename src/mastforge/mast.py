@@ -117,6 +117,13 @@ def _first_leaves(t: Tree) -> list[int]:
     return first
 
 
+def _t_leaves(s: Tree, t: Tree) -> list[int]:
+    """The T leaf id of each S node's label, or |T| where there is none (an
+    internal node, or a label not in T): an id that lies below no T node."""
+    at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
+    return [at.get(lab, len(t.label)) for lab in s.label]
+
+
 def _fill_order(s: Tree, block_leaves: int, root_only: bool):
     """Where and when the fill makes each row of S: ``(batches, slot, rows)``.
 
@@ -225,12 +232,14 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
     t_left = np.asarray(t.left, dtype=np.int64)
     t_right = np.asarray(t.right, dtype=np.int64)
     first = np.asarray(_first_leaves(t), dtype=np.int64)
-    t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
+    at = _t_leaves(s, t)
 
+    # the root path of T leaf v, v + (first[v:] <= v).nonzero()[0], is the
+    # nodes w >= v with first(w) <= v: none at v = |T|, which is no leaf
     if s.left[s.root] < 0:  # one leaf: 1 on the root path of its T leaf
         row = np.zeros((1, n), dtype=cell)
-        v = t_leaf_at.get(s.label[s.root], n)  # n: no common leaf, an empty range
-        row[0, v:][first[v:] <= v] = 1
+        v = at[s.root]
+        row[0, v + (first[v:] <= v).nonzero()[0]] = 1
         return row if root_only else row[:0]  # the full table: no internal row
     # Row u of S lives in row slot[u] of the store (see _fill_order)
     store = _zeroed_rows(rows, n)
@@ -243,24 +252,21 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
                 a, b = b, a
             if s.left[a] < 0:  # a cherry: counted with the batch's others
                 cherry_rows.append(slot[u])
-                cherry_at += (t_leaf_at.get(s.label[a], -1),
-                              t_leaf_at.get(s.label[b], -1))
+                cherry_at += at[a], at[b]
                 continue
             if s.left[b] < 0:
                 # row b is 1 on the root path of b's T leaf v and 0 elsewhere,
-                # so row u is row a raised on that path: a path node w gets at
-                # least 1, and 1 + row a at the off-path child of each path
-                # node up to w.
+                # so row u is row a raised on that path: v gets 1 (row a is at
+                # most 1 at a leaf), and a path node w above v at least 1 +
+                # row a at the off-path child of each path node up to w.
                 row = store[slot[u]]
                 row[:] = store[slot[a]]
-                v = t_leaf_at.get(s.label[b])
-                if v is not None:
-                    path = v + (first[v:] <= v).nonzero()[0]
-                    off = t_left[path[1:]] + t_right[path[1:]] - path[:-1]
-                    lift = np.empty(len(path), dtype=cell)
-                    lift[0] = 1
-                    np.add(row[off], 1, out=lift[1:])
-                    row[path] = np.maximum(row[path], np.maximum.accumulate(lift))
+                v = at[b]
+                path = v + (first[v:] <= v).nonzero()[0]
+                above = path[1:]
+                off = t_left[above] + t_right[above] - path[:-1]
+                row[path[:1]] = 1
+                row[above] = np.maximum(row[above], np.maximum.accumulate(row[off] + 1))
                 continue
             # A pair term LL+RR or LR+RL at w exceeds max(row a, row b) only
             # if both rows are positive at w: those nodes are D.  Off D row u
@@ -287,13 +293,13 @@ def _fill_cherries(store, rows, at, first):
 
     A cherry's row counts, at each w, its labels whose T leaf lies in w's
     subtree first(w)..w.  ``rows`` holds the store row of each cherry, and
-    ``at`` the T leaves of the labels of cherry i at 2i and 2i + 1 (-1 for a
-    label not in T).  The cherry rows start zeroed.
+    ``at`` the T leaves of the labels of cherry i at 2i and 2i + 1 (|T| for
+    a label not in T).  The cherry rows start zeroed.
 
     The T leaves, sorted, make every subtree's leaves one range of them, so
     two searches over all ids give each w the batch leaves below it.  Those
     (leaf, ancestor) pairs are the batch's root paths, in O(1) numpy calls
-    for any shape of T.  A label not in T sorts first and lies below no w.
+    for any shape of T.  A label not in T sorts last and lies below no w.
     """
     import numpy as np
     at = np.asarray(at)
@@ -392,11 +398,9 @@ def _zeroed_rows(rows: int, n: int) -> np.ndarray:
 
 def _cells(s: Tree, t: Tree, matrix: np.ndarray):
     """``cell(u, v)`` at any node pair, from the full table ``matrix``.  A
-    leaf u of S has no row: with x its label's T leaf (-1 if none), its cell
-    is 1 iff first(v) <= x <= v."""
-    rank, first = _internal_rank(s), _first_leaves(t)
-    t_leaf_at = {lab: v for v, lab in enumerate(t.label) if lab is not None}
-    at = [t_leaf_at.get(lab, -1) for lab in s.label]
+    leaf u of S has no row: with x its label's T leaf (|T| if none), its
+    cell is 1 iff first(v) <= x <= v."""
+    rank, first, at = _internal_rank(s), _first_leaves(t), _t_leaves(s, t)
     return lambda u, v: (matrix.item(rank[u], v) if s.left[u] >= 0
                          else int(first[v] <= at[u] <= v))
 
@@ -428,9 +432,10 @@ def _backtrack(s: Tree, t: Tree, cell) -> list[str]:
             stack.append((u, d))
         elif cell(a, v) == val:
             stack.append((a, v))
-        else:
-            assert cell(b, v) == val, "no recursion term attains the table value"
+        elif cell(b, v) == val:
             stack.append((b, v))
+        else:
+            raise RuntimeError("no recursion term attains the table value")
     return labels
 
 

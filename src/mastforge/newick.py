@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import re
 
-from .tree import Tree
+from .tree import RESERVED_LABEL_CHARS, Tree
 
 # one delimiter, or one maximal run of label characters; whatever lies
 # between tokens is whitespace (`\s` is exactly what `str.isspace` accepts)
-_TOKEN = re.compile(r"[(),;]|[^(),;\s]+")
+_DELIMITERS = re.escape("".join(sorted(RESERVED_LABEL_CHARS)))
+_TOKEN = re.compile(rf"[{_DELIMITERS}]|[^{_DELIMITERS}\s]+")
 
 
 class NewickError(ValueError):

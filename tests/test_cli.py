@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,18 @@ class TestVerify:
         assert code == 1 and not out
         assert err.startswith("error: k=4 ") and err.count("\n") == 1
 
+    def test_oversized_k_refusal_is_one_text(self, capsys):
+        # the same refusal whether the pair would be built or read
+        supplied = run(
+            capsys, "verify", "--k", "4",
+            "--s", str(DATA_DIR / "balanced2048_s.nwk"),
+            "--t", str(DATA_DIR / "balanced2048_t.nwk"),
+        )
+        assert supplied == run(capsys, "verify", "--k", "4")
+        code, out, err = supplied
+        assert code == 1 and not out
+        assert err.startswith("error: k=4 would need ") and err.count("\n") == 1
+
     def test_one_sided_flags_rejected(self, tmp_path, capsys):
         path = tmp_path / "s.nwk"
         path.write_text("(a,b);\n")
@@ -353,6 +366,15 @@ class TestPackBoundsProbe:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_failed_guard_is_one_line(self, capsys, monkeypatch):
+        # a beta profile that is not unimodal fails maximize_beta's guard
+        import mastforge.bounds as bounds_mod
+
+        monkeypatch.setattr(bounds_mod, "beta_of_delta", lambda d: math.sin(40 * d))
+        code, out, err = run(capsys, "bounds", "--certify")
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
         import mastforge.cli as cli_mod
 
@@ -417,6 +439,21 @@ class TestPackBoundsProbe:
         code = main(["frobnicate"])
         capsys.readouterr()
         assert code != 0
+
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [(["pack"], "mastforge pack"), (["frobnicate"], "mastforge"),
+         (["pack", "--n", "x"], "mastforge pack")],
+    )
+    def test_usage_error_is_one_line_with_exit_2(self, capsys, argv, prog):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith(f"{prog}: error: ") and err.count("\n") == 1
+
+    def test_help_is_unchanged_by_one_line_errors(self, capsys):
+        code, out, err = run(capsys, "pack", "--help")
+        assert code == 0 and not err
+        assert out.startswith("usage: mastforge pack [-h] --n N\n")
 
 
 class _ClosedPipe:

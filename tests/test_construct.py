@@ -419,7 +419,11 @@ class TestCounterexample:
             raise AssertionError(f"counterexample_parameters({k}) was called")
 
         monkeypatch.setattr(construct_mod, "counterexample_parameters", forbidden)
-        refusal = rf"^k={k} is too large; pairs are only verified up to k=3$"
+        refusal = (
+            rf"^k={k} would need 2\*\*\(2\*\*{k + 1} - {k + 2}\) leaves per tree; "
+            r"trees are only materialized up to k=3 "
+            r"\(use counterexample_parameters for the closed forms\)$"
+        )
         with pytest.raises(ValueError, match=refusal):
             CounterexamplePair(k, small.s, small.t)
 

@@ -8,12 +8,15 @@ import mmap
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from mastforge import (
     Tree,
     build_counterexample,
+    build_overlap_pair,
+    check_upper_bound_lemma,
     make_balanced,
     make_caterpillar,
     mast_bruteforce,
@@ -24,6 +27,7 @@ from mastforge import (
 from mastforge import mast as mast_module
 
 from conftest import (
+    all_tree_shapes,
     assert_fills_match_naive,
     backtrack_cells,
     displayed_triple,
@@ -581,3 +585,69 @@ class TestBalancedPairs:
         t = make_caterpillar(["1", "2", "3", "4"])
         # the caterpillar and the balanced shape share any 3-leaf restriction
         assert mast_dp(s, t).size == 3
+
+
+def balanced_shapes(labels: tuple) -> list:
+    """Every balanced tree on ``labels`` (2**h of them) up to child order,
+    as nested forms: the first label's half, then the other half, paired
+    recursively."""
+    if len(labels) == 1:
+        return [labels[0]]
+    first, rest = labels[0], labels[1:]
+    shapes = []
+    for mate in itertools.combinations(rest, len(labels) // 2 - 1):
+        other = tuple(x for x in rest if x not in mate)
+        for a in balanced_shapes((first, *mate)):
+            shapes += [(a, b) for b in balanced_shapes(other)]
+    return shapes
+
+
+class TestExhaustiveSmallCases:
+    """Small inputs covered completely, each against independent oracles."""
+
+    def test_every_balanced_8_leaf_pair(self):
+        # relabelling preserves MAST, so one S against every balanced T
+        # covers every balanced 8-leaf pair
+        labels = tuple("01234567")
+        s = make_balanced(3, labels)
+        shapes = balanced_shapes(labels)
+        assert len(shapes) == len({Tree.from_nested(x).canonical_form() for x in shapes}) == 315
+        sizes = Counter()
+        for shape in shapes:
+            t = Tree.from_nested(shape)
+            size = mast_dp(s, t).size
+            assert size == mast_bruteforce(s, t), shape
+            assert_fills_match_naive(s, t, block_leaves=1)
+            sizes[size] += 1
+        # so every balanced 8-leaf pair has MAST >= 4 > sqrt(8)
+        assert sizes == {4: 230, 5: 64, 6: 20, 8: 1}
+
+    def test_every_5_leaf_tree_against_every_shape(self):
+        labels = tuple("abcde")
+        trees = [Tree.from_nested(x) for x in all_tree_shapes(labels)]
+        assert len(trees) == 105
+        # the three rooted binary shapes on 5 leaves: splits 4+1 (twice) and 3+2
+        shapes = [
+            (((("a", "b"), "c"), "d"), "e"),
+            ((("a", "b"), ("c", "d")), "e"),
+            ((("a", "b"), "c"), ("d", "e")),
+        ]
+        for shape in map(Tree.from_nested, shapes):
+            for t in trees:
+                size = mast_dp(shape, t).size
+                assert size == mast_bruteforce(shape, t) == naive_mast_size(shape, t)
+                assert_fills_match_naive(shape, t)
+
+    def test_every_grid_pair_up_to_2048_leaves(self):
+        # the grid pairs whose caterpillars fit (2**(h2 - h1) <= h2 + 1)
+        grid = [
+            (h1, h2)
+            for h2 in range(12)
+            for h1 in range(h2)
+            if 1 << (h2 - h1) <= h2 + 1 and h1 + h2 <= 11
+        ]
+        assert len(grid) == 11
+        for h1, h2 in grid:
+            s, t = build_overlap_pair(h1, h2)
+            assert mast_dp(s, t).size == 2 << h1, (h1, h2)
+            assert check_upper_bound_lemma(s, t, 1 << h1, 1 << h1).passed, (h1, h2)
