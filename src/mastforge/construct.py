@@ -238,15 +238,16 @@ def counterexample_parameters(k: int) -> dict:
     }
 
 
-def check_verifiable_k(k: int) -> None:
-    """Refuse a k above ``MAX_BUILDABLE_K``, before n, a 2**(k+1)-bit
-    number, is computed: its exponent is written symbolically."""
+def check_verifiable_k(k: int) -> dict:
+    """The parameters of k, refusing k < 1 and, before n (a 2**(k+1)-bit
+    number) is computed, k > ``MAX_BUILDABLE_K`` with a symbolic exponent."""
     if k > MAX_BUILDABLE_K:
         raise ValueError(
             f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree; "
             f"trees are only materialized up to k={MAX_BUILDABLE_K} "
             "(use counterexample_parameters for the closed forms)"
         )
+    return counterexample_parameters(k)
 
 
 @dataclass(frozen=True)
@@ -271,10 +272,10 @@ class CounterexamplePair:
         return counterexample_parameters(self.k)["expected_mast"]
 
     def __post_init__(self):
-        check_verifiable_k(self.k)
+        n = check_verifiable_k(self.k)["n"]
         for name, tree in (("s", self.s), ("t", self.t)):
-            if tree.size != self.n:
-                raise TreeError(f"tree {name} has {tree.size} leaves, expected {self.n}")
+            if tree.size != n:
+                raise TreeError(f"tree {name} has {tree.size} leaves, expected {n}")
             if not tree.is_balanced():
                 raise TreeError(f"tree {name} is not balanced")
         if self.s.leaf_set() != self.t.leaf_set():
@@ -289,8 +290,7 @@ def build_counterexample(k: int) -> CounterexamplePair:
     2**k - 1, is covered by the 2**(2**k - k - 1) caterpillars of
     ``pack_caterpillars(2**k)``.
     """
-    check_verifiable_k(k)
-    params = counterexample_parameters(k)
+    params = check_verifiable_k(k)
     s, t = build_overlap_pair(params["h1"], params["h2"])
     return CounterexamplePair(k, s, t)
 

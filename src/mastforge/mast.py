@@ -48,8 +48,7 @@ rows for S's leaves, which no fill step reads; the backtrack derives them.
 
 Cells are int16: a MAST size never exceeds the smaller leaf count, so the
 table is exact for trees below 2**15 leaves and takes 2 * (|S| - 1) * |T|
-bytes, in a private mapping, on huge pages where the kernel grants them,
-whose pages go back to the system when it is freed.
+bytes, in one plain numpy array.
 `mast_dp` keeps the whole table, since its backtrack reads any cell.  A
 caller that needs only sizes asks for the root row (``root_only``), which
 the same fill computes holding only the rows still to be read: the
@@ -65,7 +64,6 @@ listed above, so repeated runs return identical witnesses.
 
 from __future__ import annotations
 
-import errno
 import heapq
 import itertools
 import os
@@ -226,7 +224,6 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
             f"{need / 1e9:.3g} GB; the limit is {budget / 1e9:.3g} GB"
         )
     import numpy as np
-    cell = np.int16
 
     # T-side geometry, shared by every row
     t_left = np.asarray(t.left, dtype=np.int64)
@@ -236,11 +233,11 @@ def mast_size_matrix(s: Tree, t: Tree, *, root_only: bool = False) -> np.ndarray
 
     # the root path of T leaf v, v + (first[v:] <= v).nonzero()[0], is the
     # nodes w >= v with first(w) <= v: none at v = |T|, which is no leaf
-    if s.left[s.root] < 0:  # one leaf: 1 on the root path of its T leaf
-        row = np.zeros((1, n), dtype=cell)
+    if root_only and s.left[s.root] < 0:  # one leaf: 1 on its T leaf's root path
+        row = _zeroed_rows(1, n)
         v = at[s.root]
         row[0, v + (first[v:] <= v).nonzero()[0]] = 1
-        return row if root_only else row[:0]  # the full table: no internal row
+        return row
     # Row u of S lives in row slot[u] of the store (see _fill_order)
     store = _zeroed_rows(rows, n)
     for batch in batches:
@@ -364,36 +361,13 @@ def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
 
 
 def _zeroed_rows(rows: int, n: int) -> np.ndarray:
-    """A zeroed int16 (rows, n) array in its own private mapping.
-
-    The pages go back to the system when the array is freed.  A 2048-leaf
-    table (16.8 MB) is under glibc's 32 MiB cap on its mmap threshold, so
-    from the heap a freed table would be carved up by later allocations and
-    the next table would grow the heap by its whole size.  The kernel is
-    asked to back the mapping with huge pages, since a fill writes nearly
-    every page of it.  On a 2-core Linux 6.18 host, touching every page of
-    a 2048-leaf table took about 7-8 ms of page faults on 4 KB pages and
-    3-4 ms with the advice, which put 12 MB of it on 2 MB pages; a process
-    filling that table peaked 0.8 MB higher (47.2 against 48.0 MB).
-    Where the advice is missing or refused, pages are mapped 4 KB at a time
-    as the fill writes them.
-    """
-    import mmap
-
+    """A zeroed int16 (rows, n) array, the one place a table is allocated.
+    numpy advises huge pages for it and raises MemoryError when refused.
+    Against a private mapping with its own advice (2-core Linux 6.18 host,
+    numpy 2.4.6) the golden fill was no slower, and a process filling tables
+    in turn peaked 0.7 MB higher, flat after 10 rounds."""
     import numpy as np
-    try:
-        pages = mmap.mmap(-1, rows * n * 2, flags=mmap.MAP_PRIVATE)
-    except OSError as exc:  # ENOMEM: past RLIMIT_AS or the commit limit
-        if exc.errno == errno.ENOMEM:
-            raise MemoryError(exc.strerror) from exc
-        raise
-    advice = getattr(mmap, "MADV_HUGEPAGE", None)
-    if advice is not None:
-        try:
-            pages.madvise(advice)
-        except OSError:  # no transparent huge pages in this kernel
-            pass
-    return np.frombuffer(pages, dtype=np.int16).reshape(rows, n)
+    return np.zeros((rows, n), dtype=np.int16)
 
 
 def _cells(s: Tree, t: Tree, matrix: np.ndarray):

@@ -244,6 +244,13 @@ class TestVerify:
         assert code == 1 and not out
         assert err.startswith("error: k=4 would need ") and err.count("\n") == 1
 
+    def test_nonpositive_k_refused_before_reading(self, tmp_path, capsys):
+        # k = 0 is refused as k is, not as a missing file is
+        missing = str(tmp_path / "missing.nwk")
+        supplied = run(capsys, "verify", "--k", "0", "--s", missing, "--t", missing)
+        assert supplied == run(capsys, "verify", "--k", "0")
+        assert supplied == (1, "", "error: k must be positive, got 0\n")
+
     def test_one_sided_flags_rejected(self, tmp_path, capsys):
         path = tmp_path / "s.nwk"
         path.write_text("(a,b);\n")
@@ -410,7 +417,7 @@ class TestPackBoundsProbe:
     def test_table_past_the_address_space_limit_is_out_of_memory(self, tmp_path):
         # the table of a 6000-leaf pair, 2 * 5999 * 11999 bytes = 144 MB, does
         # not fit in a 250 MB address space beside the CLI and numpy (about
-        # 143 MB), so its mmap fails with ENOMEM
+        # 143 MB), so numpy's allocation of it raises MemoryError
         labels = [str(i) for i in range(6000)]
         s_path, t_path = tmp_path / "s.nwk", tmp_path / "t.nwk"
         s_path.write_text(serialize(make_caterpillar(labels)) + "\n")
