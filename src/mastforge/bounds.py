@@ -188,10 +188,9 @@ def check_case_certificates() -> VerificationReport:
 
 def lower_bound(n: int) -> float:
     """The proven floor n**0.17 (strictly above n**(1/6) for n >= 2)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    older = sixth_root(n)  # refuses n < 1
     floor = float(n) ** 0.17
-    if n >= 2 and not floor > sixth_root(n):
+    if n >= 2 and not floor > older:
         raise RuntimeError(f"n**0.17 <= n**(1/6) at n={n}")
     return floor
 

@@ -151,13 +151,12 @@ def pack_caterpillars(n: int) -> PackingPlan:
     order; when the count stalls, the first ceil(a(n-1)/2) caterpillars come
     from the left half and the remainder from the right.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > MAX_PACK_N:
+    if n > MAX_PACK_N:  # first: a_of_n(n) is an (n - log2(n))-bit number
         raise ValueError(f"n={n} is too large; packings are built up to n={MAX_PACK_N}")
+    count = a_of_n(n)  # refuses n < 1
     cats = _pack(n, 0)
-    if len(cats) != a_of_n(n):
-        raise PackingError(f"packed {len(cats)} caterpillars, expected {a_of_n(n)}")
+    if len(cats) != count:
+        raise PackingError(f"packed {len(cats)} caterpillars, expected {count}")
     used = {p for cat in cats for p in cat}
     unused = frozenset(range(1 << (n - 1))) - used
     return PackingPlan(n - 1, tuple(tuple(cat) for cat in cats), unused)
@@ -219,14 +218,26 @@ def is_anticaterpillar_pair(a: Tree, b: Tree) -> bool:
 # ----------------------------------------------------------------------
 
 # Beyond k=3 the trees have 2**26+ leaves; closed-form parameters stay
-# available for any k via counterexample_parameters.
+# available via counterexample_parameters, whose n, a 2**(k+1)-bit number,
+# is 4 MB at k=24 and doubles with each step of k.
 MAX_BUILDABLE_K = 3
+MAX_PARAMETER_K = 24
+
+
+def _leaves_needed(k: int) -> str:
+    """The leaf count of the k-th pair, written symbolically."""
+    return f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree"
 
 
 def counterexample_parameters(k: int) -> dict:
-    """Closed-form parameters of the height-(h1+h2) pair for any k >= 1."""
+    """Closed-form parameters of the height-(h1+h2) pair for 1 <= k <=
+    ``MAX_PARAMETER_K``; a larger k is refused before n is computed."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if k > MAX_PARAMETER_K:
+        raise ValueError(
+            f"{_leaves_needed(k)}; closed forms are computed up to k={MAX_PARAMETER_K}"
+        )
     h1 = (1 << k) - k - 1
     h2 = (1 << k) - 1
     return {
@@ -243,8 +254,7 @@ def check_verifiable_k(k: int) -> dict:
     number) is computed, k > ``MAX_BUILDABLE_K`` with a symbolic exponent."""
     if k > MAX_BUILDABLE_K:
         raise ValueError(
-            f"k={k} would need 2**(2**{k + 1} - {k + 2}) leaves per tree; "
-            f"trees are only materialized up to k={MAX_BUILDABLE_K} "
+            f"{_leaves_needed(k)}; trees are only materialized up to k={MAX_BUILDABLE_K} "
             "(use counterexample_parameters for the closed forms)"
         )
     return counterexample_parameters(k)

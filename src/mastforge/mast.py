@@ -64,7 +64,6 @@ listed above, so repeated runs return identical witnesses.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 from dataclasses import dataclass
@@ -135,9 +134,9 @@ def _fill_order(s: Tree, block_leaves: int, root_only: bool):
     none.  The full table is its own store, row ``slot[u]`` the postorder
     rank of u among the |S| - 1 internal nodes.  For the root row alone the
     store holds the internal rows whose parent's batch is not done: each
-    takes the lowest free store row, and its child rows are freed when its
-    batch is done, so the rows of a batch ascend.  ``rows`` is then the most
-    held at once.
+    takes any free store row, in no order the fill relies on, and its child
+    rows are freed when its batch is done.  ``rows`` is then the most held
+    at once.
     """
     span = 2 * block_leaves - 2  # u - first(u) at a subtree of that many leaves
     first = _first_leaves(s)
@@ -168,13 +167,13 @@ def _fill_order(s: Tree, block_leaves: int, root_only: bool):
     for batch in batches:
         for u in batch:
             if free:
-                slot[u] = heapq.heappop(free)
+                slot[u] = free.pop()
             else:
                 slot[u], rows = rows, rows + 1
         for u in batch:  # the child rows were read for the last time
             for c in (s.left[u], s.right[u]):
                 if s.left[c] >= 0:
-                    heapq.heappush(free, slot[c])
+                    free.append(slot[c])
     return batches, slot, rows
 
 
@@ -323,14 +322,14 @@ def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
     """The terms at D of one batch's general rows, in one pass.
 
     ``row_u``, ``row_a`` and ``row_b`` are the rows of ``store`` that hold
-    each row u and its two child rows, ``row_u`` ascending, and ``ds`` the
-    sorted D of each row.  A cell of row u in D becomes the max of its pair
-    terms and max(row a, row b) over the part of D in its subtree
-    first(w)..w: the terms (S, T_L) and (S, T_R).  D is closed upward, so
-    that part is a range of the batch's D cells that ends at w's.  The cells
-    are keyed by their flat index slot * |T| + id, ascending, and a range is
-    found by searching for the key of first(w) in the same slot, so none
-    starts in another row.
+    each row u and its two child rows, in any order, and ``ds`` the sorted D
+    of each row.  A cell of row u in D becomes the max of its pair terms and
+    max(row a, row b) over the part of D in its subtree first(w)..w: the
+    terms (S, T_L) and (S, T_R).  D is closed upward, so that part is a
+    range of the batch's D cells that ends at w's.  The cells are keyed by
+    i * |T| + id, with i the row's place in the batch, which sorts them; a
+    range is found by searching for the key of first(w) with the same i, so
+    none starts in another row.  Store rows serve only to read and write.
     """
     import numpy as np
     d = np.concatenate(ds)
@@ -340,6 +339,7 @@ def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
     n = store.shape[1]
     flat = store.reshape(-1)
     counts = [len(x) for x in ds]
+    key = np.repeat(np.arange(len(ds)) * n, counts) + d
     at_u = np.repeat(row_u, counts) * n + d
     at_a = np.repeat(row_a, counts) * n
     at_b = np.repeat(row_b, counts) * n
@@ -353,7 +353,7 @@ def _fill_d(store, row_u, row_a, row_b, ds, t_left, t_right, first):
     for i in range(1, k.bit_length()):
         prev, half = windows[i - 1], 1 << (i - 1)
         np.maximum(prev[: k - half], prev[half:], out=windows[i, : k - half])
-    lo = np.searchsorted(at_u, at_u - d + first[d])
+    lo = np.searchsorted(key, key - d + first[d])
     width = np.arange(1, k + 1) - lo
     j = np.frexp(width)[1].astype(np.int64) - 1
     lo += j * k

@@ -65,16 +65,13 @@ class Tree:
     directly, as their labels are the host's, already validated, and so do
     ``newick.parse``, whose reader admits only legal, distinct labels and
     binary nodes, and :func:`make_balanced`, which checks each label once.
-    The :attr:`height` is derived from the tuples when first read.
-    Instances are never mutated afterwards (the cached height, leaf set and
-    canonical form are filled in once), so they are safe to share between
-    threads and to use as cache keys (by identity).
+    The :attr:`height` is derived from the tuples when first read, and is
+    the one thing a tree caches: the balanced-shape checks and the MAST
+    fill read it again, while every other query is computed on each call.
+    Instances are never mutated otherwise.
     """
 
-    __slots__ = (
-        "left", "right", "label", "root", "size",
-        "_height", "_leaf_set", "_canonical",
-    )
+    __slots__ = ("left", "right", "label", "root", "size", "_height")
 
     def __init__(
         self,
@@ -88,8 +85,6 @@ class Tree:
         self.root = len(label) - 1
         self.size = (len(label) + 1) // 2
         self._height: int | None = None
-        self._leaf_set: frozenset[str] | None = None
-        self._canonical: str | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -158,9 +153,7 @@ class Tree:
 
     def leaf_set(self) -> frozenset[str]:
         """The set of leaf labels."""
-        if self._leaf_set is None:
-            self._leaf_set = frozenset(self.leaf_labels_in_order())
-        return self._leaf_set
+        return frozenset(self.leaf_labels_in_order())
 
     def leaf_labels_in_order(self) -> list[str]:
         """Leaf labels left to right in stored child order."""
@@ -213,9 +206,6 @@ class Tree:
         wanted = frozenset(labels)
         if not wanted:
             raise TreeError("cannot restrict to an empty label set")
-        missing = wanted - self.leaf_set()
-        if missing:
-            raise TreeError(f"labels not in tree: {sorted(missing)}")
         # A host leaf is kept iff wanted, an internal node iff both its sides
         # hold kept nodes.  Kept nodes in host order are the restriction's
         # postorder, so each takes the next id as the fold reaches it.
@@ -238,6 +228,9 @@ class Tree:
             left.append(x)
             right.append(y)
             label.append(lab)
+        missing = wanted.difference(label)  # wanted labels with no host leaf
+        if missing:
+            raise TreeError(f"labels not in tree: {sorted(missing)}")
         return Tree(tuple(left), tuple(right), tuple(label))
 
     def canonical_form(self) -> str:
@@ -247,19 +240,17 @@ class Tree:
         Leaves emit their token; an internal node emits its two child forms
         sorted lexicographically, parenthesised and comma-separated.
         """
-        if self._canonical is None:
-            vals: list[str | None] = []
-            for a, b, lab in zip(self.left, self.right, self.label):
-                if a < 0:
-                    vals.append(lab)
-                else:  # only the parent reads a child's form: free it
-                    x, y = vals[a], vals[b]
-                    if y < x:
-                        x, y = y, x
-                    vals.append(f"({x},{y})")
-                    vals[a] = vals[b] = None
-            self._canonical = vals[self.root]
-        return self._canonical
+        vals: list[str | None] = []
+        for a, b, lab in zip(self.left, self.right, self.label):
+            if a < 0:
+                vals.append(lab)
+            else:  # only the parent reads a child's form: free it
+                x, y = vals[a], vals[b]
+                if y < x:
+                    x, y = y, x
+                vals.append(f"({x},{y})")
+                vals[a] = vals[b] = None
+        return vals[self.root]
 
     def is_isomorphic(self, other: "Tree") -> bool:
         return self.canonical_form() == other.canonical_form()

@@ -292,6 +292,16 @@ class TestCounterexample:
         assert counterexample_parameters(3)["n"] == 2048
         assert counterexample_parameters(3)["expected_mast"] == 32
 
+    def test_parameters_refuse_k_whose_n_would_not_fit_in_memory(self):
+        # n is a 2**(k+1)-bit number: 4 MB at k = 24, 8 MB at k = 25
+        assert counterexample_parameters(24)["n"].bit_length() == (1 << 25) - 25
+        refusal = (
+            r"^k=25 would need 2\*\*\(2\*\*26 - 27\) leaves per tree; "
+            r"closed forms are computed up to k=24$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            counterexample_parameters(25)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pair_sizes_are_the_closed_forms(self, k):
         pair = build_counterexample(k)

@@ -299,8 +299,24 @@ def mapped(monkeypatch):
 
 
 class TestRootRow:
-    @pytest.mark.parametrize("case", ["golden", "k3", "left-right", "right-left", "one-leaf"])
-    def test_root_row_matches_full_table(self, case, golden_s, golden_t):
+    @pytest.mark.parametrize("case", [
+        "golden", "k3", "left-right", "right-left", "one-leaf",
+        "golden-reversed", "k3-reversed",
+    ])
+    def test_root_row_matches_full_table(self, case, golden_s, golden_t, monkeypatch):
+        if case.endswith("-reversed"):
+            # the root-only store's row r becomes rows - 1 - r: the same
+            # rows in reverse order, which must not change the root row
+            case = case.removesuffix("-reversed")
+            fill_order = mast_module._fill_order
+
+            def reversed_rows(s, block_leaves, root_only):
+                batches, slot, rows = fill_order(s, block_leaves, root_only)
+                if root_only:
+                    slot = [rows - 1 - r for r in slot]
+                return batches, slot, rows
+
+            monkeypatch.setattr(mast_module, "_fill_order", reversed_rows)
         if case == "golden":
             s, t = golden_s, golden_t
         elif case == "k3":
@@ -491,9 +507,9 @@ class TestPinnedWitnesses:
         assert hashlib.sha256(written).hexdigest() == digest
 
 
-class TestHugePages:
-    # sha256 of the golden pair's full table, its 2047 internal rows: the
-    # pages numpy puts the table on must not change a cell
+class TestGoldenTable:
+    # sha256 of the golden pair's full table, its 2047 internal rows: no
+    # change to the fill may change a cell
     GOLDEN = "23984b610519f0421acfaf559446ed10277082c25540cbb29496e47331ff74d1"
 
     def test_golden_table(self, golden_s, golden_t):
